@@ -39,6 +39,7 @@ from .series import (
     VerdictState,
     bundle_consistency,
     series_verdict,
+    tail_converges,
     verdict_bundle,
 )
 
@@ -71,11 +72,14 @@ def form_uniqueness_verdict(p: RadialProfile) -> Verdict:
     Uniqueness fails exactly when the graph has finite total mass and
     finite cumulative resistance; killing is allowed.
     """
-    tm = series_verdict(p, SeriesKind.TOTAL_MASS)
-    res = series_verdict(p, SeriesKind.RESISTANCE)
-    state = _negate(_and(tm.state, res.state))
+    return _form_uniqueness(
+        series_verdict(p, SeriesKind.TOTAL_MASS), series_verdict(p, SeriesKind.RESISTANCE)
+    )
+
+
+def _form_uniqueness(tm: Verdict, res: Verdict) -> Verdict:
     return Verdict(
-        state,
+        _negate(_and(tm.state, res.state)),
         "the minimal and maximal energy forms coincide",
         f"total mass {tm.state.value} ({tm.reason}); "
         f"resistance {res.state.value} ({res.reason})",
@@ -86,28 +90,24 @@ def form_uniqueness_verdict(p: RadialProfile) -> Verdict:
 def transience_verdict(p: RadialProfile) -> Verdict:
     """Is the associated random walk transient?  (zero killing only)"""
     _require_no_killing(p, "transience")
-    res = series_verdict(p, SeriesKind.RESISTANCE)
-    return Verdict(
-        res.state,
-        "the random walk is transient",
-        res.reason,
-        kind="transience",
-        sample_depths=res.sample_depths,
-        partial_sums=res.partial_sums,
-    )
+    return _transience(series_verdict(p, SeriesKind.RESISTANCE))
+
+
+def _transience(res: Verdict) -> Verdict:
+    return replace(res, label="the random walk is transient", kind="transience")
 
 
 def stochastic_incompleteness_verdict(p: RadialProfile) -> Verdict:
     """Does the heat semigroup lose mass?  (zero killing only)"""
     _require_no_killing(p, "stochastic incompleteness")
-    sm = series_verdict(p, SeriesKind.STOCHASTIC_MASS)
-    return Verdict(
-        sm.state,
-        "the heat semigroup is stochastically incomplete",
-        sm.reason,
+    return _stochastic_incompleteness(series_verdict(p, SeriesKind.STOCHASTIC_MASS))
+
+
+def _stochastic_incompleteness(sm: Verdict) -> Verdict:
+    return replace(
+        sm,
+        label="the heat semigroup is stochastically incomplete",
         kind="stochastic_incompleteness",
-        sample_depths=sm.sample_depths,
-        partial_sums=sm.partial_sums,
     )
 
 
@@ -119,14 +119,16 @@ def neumann_feller_verdict(p: RadialProfile) -> Verdict:
     function exists.
     """
     _require_no_killing(p, "the Neumann Feller property")
-    ft = series_verdict(p, SeriesKind.FELLER_TAIL)
-    return Verdict(
-        _negate(ft.state),
-        "the maximal semigroup is Feller",
-        f"complement-mass series {ft.state.value} ({ft.reason})",
+    return _neumann_feller(series_verdict(p, SeriesKind.FELLER_TAIL))
+
+
+def _neumann_feller(ft: Verdict) -> Verdict:
+    return replace(
+        ft,
+        state=_negate(ft.state),
+        label="the maximal semigroup is Feller",
+        reason=f"complement-mass series {ft.state.value} ({ft.reason})",
         kind="neumann_feller",
-        sample_depths=ft.sample_depths,
-        partial_sums=ft.partial_sums,
     )
 
 
@@ -137,11 +139,14 @@ def dirichlet_feller_verdict(p: RadialProfile) -> Verdict:
     diverges) while the complement-mass series converges.
     """
     _require_no_killing(p, "the Dirichlet Feller property")
-    res = series_verdict(p, SeriesKind.RESISTANCE)
-    ft = series_verdict(p, SeriesKind.FELLER_TAIL)
-    not_feller = _and(_negate(res.state), ft.state)
+    return _dirichlet_feller(
+        series_verdict(p, SeriesKind.RESISTANCE), series_verdict(p, SeriesKind.FELLER_TAIL)
+    )
+
+
+def _dirichlet_feller(res: Verdict, ft: Verdict) -> Verdict:
     return Verdict(
-        _negate(not_feller),
+        _negate(_and(_negate(res.state), ft.state)),
         "the minimal semigroup is Feller",
         f"resistance {res.state.value}; complement-mass series {ft.state.value}",
         kind="dirichlet_feller",
@@ -154,15 +159,18 @@ def hamburger_esa_verdict(p: RadialProfile) -> Verdict:
     Chains with one vertex per sphere and zero killing only.  Holds iff
     the chain growth series diverges.
     """
-    ham = series_verdict(p, SeriesKind.HAMBURGER)  # raises PreconditionError if unfit
-    return Verdict(
-        _negate(ham.state),
-        "the minimal operator is essentially self-adjoint",
-        f"growth series {ham.state.value} "
+    # raises PreconditionError if unfit
+    return _hamburger_esa(series_verdict(p, SeriesKind.HAMBURGER))
+
+
+def _hamburger_esa(ham: Verdict) -> Verdict:
+    return replace(
+        ham,
+        state=_negate(ham.state),
+        label="the minimal operator is essentially self-adjoint",
+        reason=f"growth series {ham.state.value} "
         f"(convergence puts both fundamental solutions in l2): {ham.reason}",
         kind="hamburger_esa",
-        sample_depths=ham.sample_depths,
-        partial_sums=ham.partial_sums,
     )
 
 
@@ -247,22 +255,24 @@ def _cross_checks(report: PropertyReport) -> list[str]:
 
 
 def full_report(p: RadialProfile) -> PropertyReport:
-    """Every applicable property verdict plus consistency cross-checks."""
-    bundle = verdict_bundle(p)
+    """Every applicable property verdict, all derived from one
+    :func:`verdict_bundle`, plus consistency cross-checks."""
+    s = verdict_bundle(p)
     no_killing = p.killing_is_zero
+    res, ft = s[SeriesKind.RESISTANCE], s[SeriesKind.FELLER_TAIL]
     report = PropertyReport(
-        form_uniqueness=form_uniqueness_verdict(p),
-        transience=transience_verdict(p) if no_killing else None,
+        form_uniqueness=_form_uniqueness(s[SeriesKind.TOTAL_MASS], res),
+        transience=_transience(res) if no_killing else None,
         stochastic_incompleteness=(
-            stochastic_incompleteness_verdict(p) if no_killing else None
+            _stochastic_incompleteness(s[SeriesKind.STOCHASTIC_MASS]) if no_killing else None
         ),
-        neumann_feller=neumann_feller_verdict(p) if no_killing else None,
-        dirichlet_feller=dirichlet_feller_verdict(p) if no_killing else None,
+        neumann_feller=_neumann_feller(ft) if no_killing else None,
+        dirichlet_feller=_dirichlet_feller(res, ft) if no_killing else None,
         hamburger_esa=(
-            hamburger_esa_verdict(p) if no_killing and p.is_birth_death else None
+            _hamburger_esa(s[SeriesKind.HAMBURGER]) if SeriesKind.HAMBURGER in s else None
         ),
-        series=bundle,
+        series=s,
         consistency_violations=(),
     )
-    violations = bundle_consistency(bundle) + _cross_checks(report)
+    violations = bundle_consistency(s, tail_converges(p.killing_tail)) + _cross_checks(report)
     return replace(report, consistency_violations=tuple(violations))

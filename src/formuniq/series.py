@@ -24,6 +24,17 @@ the convergence of any series built here, because they multiply terms
 whose power-law part already decides the verdict strictly, and at the
 boundary exponent both the plain and the log-corrected series diverge.
 
+The numbers reported next to a verdict are diagnostics and never
+influence it.  Tail sums (:func:`tail_sum_exact`) run in floats for
+geometric tails: terms are added in log space until a certified bound on
+the remainder falls below the rounding unit of the running sum; only a
+ratio too close to 1 for that within a fixed term budget falls back to
+30-digit mpmath, as do pure power tails (Hurwitz zeta).  Complement
+masses are summed directly, never as a difference of totals.  Partial
+sums come from one array expression per series over the profile's value
+arrays, and stop, with a note in the reason, at the first depth where
+they leave the float range.
+
 Verdict semantics in this module are series-level: ``Holds`` always
 means "the series converges".  Property-level readings (transience,
 Feller property, ...) live in :mod:`formuniq.criteria`.
@@ -34,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
 import mpmath as mp
 import numpy as np
@@ -61,6 +72,8 @@ class PowerGeomTail:
     ratio: float = 1.0
 
     def __post_init__(self) -> None:
+        for attr in ("coeff", "power", "ratio"):
+            object.__setattr__(self, attr, float(getattr(self, attr)))
         if self.coeff < 0:
             raise ValueError("tail coefficient must be nonnegative")
         if self.ratio <= 0:
@@ -74,6 +87,14 @@ class PowerGeomTail:
         if self.coeff == 0:
             return 0.0
         return self.coeff * (r + 1.0) ** self.power * self.ratio**r
+
+    def values(self, r: np.ndarray) -> np.ndarray:
+        """``value`` at every radius in ``r``; inf (or nan, for inf * 0)
+        where the float range is left, without warnings."""
+        if self.coeff == 0:
+            return np.zeros(len(r))
+        with np.errstate(all="ignore"):
+            return self.coeff * (r + 1.0) ** self.power * self.ratio**r
 
     def describe(self) -> str:
         return f"{self.coeff:.6g}*(r+1)^{self.power:.6g}*{self.ratio:.6g}^r"
@@ -220,17 +241,27 @@ def tail_complement_class(a: PowerGeomTail | None) -> PowerGeomTail | None:
 
 
 def tail_sum_exact(a: PowerGeomTail, r_from: int = 0) -> float:
-    """``sum_{r >= r_from} a(r)`` in closed form (inf when divergent).
+    """``sum_{r >= r_from} a(r)`` to double precision (inf when divergent).
 
-    Uses the Lerch transcendent for geometric tails and the Hurwitz
-    zeta function for power tails.
+    Geometric tails (``ratio < 1``) are summed in floats, term by term
+    in log space so that no term overflows, and stop at the first ``N``
+    whose remainder bound ``t(N) q / (1 - q)`` is below ``2^-53`` of the
+    running sum, where ``q = ratio * max(1, ((N+2)/(N+1))^power)``
+    bounds every later term ratio ``t(r+1)/t(r)``.  When no such ``N``
+    exists within a fixed term budget (``ratio`` extremely close to 1,
+    decided before any term is summed) they fall back to the Lerch
+    transcendent in 30-digit mpmath.  Power tails (``ratio == 1``) use
+    the Hurwitz zeta function.
     """
     if a.is_zero:
         return 0.0
-    conv = tail_converges(a)
-    if not conv:
+    if not tail_converges(a):
         return math.inf
     K = int(r_from)
+    if a.ratio < 1:
+        val = _geometric_tail_sum(a.coeff, a.power, a.ratio, K)
+        if val is not None:
+            return val
     with mp.workdps(30):
         if a.ratio < 1:
             # sum_{r>=K} C (r+1)^p rho^r = (C/rho) rho^(K+1) Phi(rho, -p, K+1)
@@ -245,6 +276,53 @@ def tail_sum_exact(a: PowerGeomTail, r_from: int = 0) -> float:
         return float(val)
 
 
+_FLOAT_TERM_BUDGET = 1 << 19
+_FLOAT_CHUNK = 1 << 14
+_REMAINDER_TOL = 2.0**-53
+
+
+def _geometric_tail_sum(coeff: float, power: float, ratio: float, K: int) -> float | None:
+    """Float sum of a geometric tail; None when the remainder bound
+    cannot be certified within the term budget."""
+    log_ratio = math.log(ratio)
+
+    def log_term(r: float) -> float:  # log(t(r) / t(K))
+        return power * (math.log1p(r) - math.log1p(K)) + (r - K) * log_ratio
+
+    # the largest term sits at radius top; terms are scaled by it so none
+    # overflows
+    top = max(float(K), -power / log_ratio - 1.0)
+    peak = log_term(top)
+    # decide before summing: the sum is at least its largest term, so a
+    # remainder bound at the last budgeted term below half the tolerance
+    # times that term guarantees the loop below stops within the budget
+    last = K + _FLOAT_TERM_BUDGET - 1
+    log_q = log_ratio + max(0.0, power * math.log1p(1.0 / (last + 1.0)))
+    if log_q >= 0:
+        return None
+    largest = max(log_term(math.floor(top)), log_term(math.ceil(top)))
+    log_bound = log_term(last) + log_q - math.log(-math.expm1(log_q))
+    if log_bound > largest + math.log(_REMAINDER_TOL / 2):
+        return None
+    # first chunk: up to the peak, then enough terms to decay by e^-40
+    n = min(64 + int(40.0 / -log_ratio) + int(top - K), _FLOAT_CHUNK)
+    start, total = K, 0.0
+    while start < K + _FLOAT_TERM_BUDGET:
+        r = np.arange(start, start + n, dtype=float)
+        w = np.exp(power * (np.log1p(r) - math.log1p(K)) + (r - K) * log_ratio - peak)
+        with np.errstate(over="ignore", divide="ignore"):
+            q = ratio * np.maximum(1.0, ((r + 2.0) / (r + 1.0)) ** power)
+            remainder = np.where(q < 1, w * q / (1.0 - q), math.inf)
+            done = np.flatnonzero(remainder <= _REMAINDER_TOL * (total + np.cumsum(w)))
+            if done.size:
+                total += float(w[: done[0] + 1].sum())
+                log_first = math.log(coeff) + power * math.log1p(K) + K * log_ratio
+                return float(np.exp(log_first + peak + math.log(total)))  # inf past the range
+        total += float(w.sum())
+        start, n = start + n, _FLOAT_CHUNK
+    return None
+
+
 # ---------------------------------------------------------------------------
 # radial profiles
 # ---------------------------------------------------------------------------
@@ -255,6 +333,12 @@ def _parse_prefix(values: Sequence[float]) -> np.ndarray:
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("prefix must be a nonempty 1-d sequence")
     return arr
+
+
+def _custom_tail_error(label: str, prefix: np.ndarray) -> StructuralError:
+    return StructuralError(
+        f"{label} sequence has a custom tail: no values beyond radius {len(prefix) - 1}"
+    )
 
 
 @dataclass(frozen=True)
@@ -321,10 +405,7 @@ class RadialProfile:
         if r < len(prefix):
             return float(prefix[r])
         if isinstance(tail, CustomTail):
-            raise StructuralError(
-                f"{label} sequence has a custom tail: no values beyond radius "
-                f"{len(prefix) - 1}"
-            )
+            raise _custom_tail_error(label, prefix)
         return tail.value(r)
 
     def boundary(self, r: int) -> float:
@@ -338,6 +419,20 @@ class RadialProfile:
 
     def sphere_count(self, r: int) -> float:
         return self._value(self.count_prefix, self.count_tail, r, "count")
+
+    def _sequence(self, label: str) -> tuple[np.ndarray, TailModel]:
+        """Prefix and tail of 'boundary', 'measure', 'killing' or 'count'."""
+        return getattr(self, f"{label}_prefix"), getattr(self, f"{label}_tail")
+
+    def values(self, label: str, n: int) -> np.ndarray:
+        """The first ``n`` values of a sequence ('boundary', 'measure',
+        'killing', 'count'), prefix then tail, as one array."""
+        prefix, tail = self._sequence(label)
+        if n <= len(prefix):
+            return prefix[:n]
+        if isinstance(tail, CustomTail):
+            raise _custom_tail_error(label, prefix)
+        return np.concatenate([prefix, tail.values(np.arange(len(prefix), n))])
 
     def value_depth(self, *sequences: str) -> float:
         """Largest radius count with defined values for the named
@@ -380,38 +475,31 @@ class RadialProfile:
 
     # -- aggregate quantities --------------------------------------------------
 
-    def _total(self, prefix: np.ndarray, tail: TailModel) -> float | None:
-        """Total sum of a sequence; None when not computable."""
+    def _beyond(self, label: str, r: int) -> float | None:
+        """``sum_{k>r}`` of a sequence, summed directly rather than as a
+        difference of totals; None when a custom tail hides it."""
+        prefix, tail = self._sequence(label)
         if isinstance(tail, CustomTail):
             return None
-        return float(prefix.sum()) + tail_sum_exact(tail, self.prefix_len)
+        k = max(r + 1, 0)
+        return float(prefix[k:].sum()) + tail_sum_exact(tail, max(k, len(prefix)))
 
     def total_measure(self) -> float | None:
-        return self._total(self.measure_prefix, self.measure_tail)
+        return self._beyond("measure", -1)
 
     def total_killing(self) -> float | None:
-        return self._total(self.killing_prefix, self.killing_tail)
+        return self._beyond("killing", -1)
 
     def measure_beyond(self, r: int) -> float | None:
         """``m`` of all spheres at radius > r (None when not computable)."""
-        if isinstance(self.measure_tail, CustomTail):
-            return None
-        total = self.total_measure()
-        if not math.isfinite(total):
-            return math.inf
-        head = sum(self.sphere_measure(k) for k in range(r + 1))
-        return max(total - head, 0.0)
+        return self._beyond("measure", r)
 
     def mass_beyond(self, r: int) -> float | None:
         """``(c+m)`` of all spheres at radius > r."""
-        mb = self.measure_beyond(r)
-        if mb is None or isinstance(self.killing_tail, CustomTail):
+        mb, cb = self._beyond("measure", r), self._beyond("killing", r)
+        if mb is None or cb is None:
             return None
-        ct = self.total_killing()
-        if not math.isfinite(ct):
-            return math.inf
-        cb = ct - sum(self.sphere_killing(k) for k in range(r + 1))
-        return mb + max(cb, 0.0)
+        return mb + cb
 
 
 # ---------------------------------------------------------------------------
@@ -502,98 +590,76 @@ def _sample_depths(n: int) -> list[int]:
     return depths
 
 
-def _term_functions(p: RadialProfile, kind: SeriesKind) -> tuple[Callable[[int], float], float, str]:
-    """Term evaluator, available depth, and a representation note."""
-    note = ""
-    if kind is SeriesKind.RESISTANCE:
-        depth = p.value_depth("boundary")
-        term = lambda r: 1.0 / p.boundary(r)
-    elif kind is SeriesKind.TOTAL_MASS:
-        depth = p.value_depth("measure", "killing")
-        term = lambda r: p.sphere_measure(r) + p.sphere_killing(r)
-    elif kind is SeriesKind.STOCHASTIC_MASS:
-        depth = p.value_depth("boundary", "measure")
-        acc = {"m": 0.0}
-
-        def term(r: int) -> float:
-            acc["m"] += p.sphere_measure(r)
-            return acc["m"] / p.boundary(r)
-
-    elif kind is SeriesKind.FELLER_TAIL:
-        total = p.measure_beyond(-1) if not isinstance(p.measure_tail, CustomTail) else None
-        if total is not None and math.isfinite(total):
-            depth = p.value_depth("boundary", "measure")
-            acc = {"m": 0.0}
-
-            def term(r: int) -> float:
-                acc["m"] += p.sphere_measure(r)
-                return max(total - acc["m"], 0.0) / p.boundary(r)
-
-        else:
-            # interchange representation: same sum, finite terms
-            note = "terms via sum_r (sum_{k<r} 1/dB(k)) m(S_r)"
-            depth = p.value_depth("boundary", "measure")
-            acc = {"inv": 0.0}
-
-            def term(r: int) -> float:
-                t = acc["inv"] * p.sphere_measure(r)
-                acc["inv"] += 1.0 / p.boundary(r)
-                return t
-
-    elif kind is SeriesKind.ENERGY_WEIGHT:
-        depth = p.value_depth("boundary", "measure")
-        acc = {"m": 0.0}
-
-        def term(r: int) -> float:
-            acc["m"] += p.sphere_measure(r)
-            return acc["m"] ** 2 / p.boundary(r)
-
-    elif kind is SeriesKind.BOUNDED_HARMONIC:
-        depth = p.value_depth("boundary", "measure", "killing")
-        acc = {"cm": 0.0}
-
-        def term(r: int) -> float:
-            acc["cm"] += p.sphere_measure(r) + p.sphere_killing(r)
-            return acc["cm"] / p.boundary(r)
-
-    elif kind is SeriesKind.HAMBURGER:
-        depth = p.value_depth("boundary", "measure")
-        if math.isfinite(depth):
-            depth = max(depth - 1, 0)
-        acc = {"inv": 0.0}
-
-        def term(r: int) -> float:
-            acc["inv"] += 1.0 / p.boundary(r)
-            return acc["inv"] ** 2 * p.sphere_measure(r + 1)
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown series kind {kind}")
-    return term, depth, note
+# the sequences each series reads (boundary and measure when not listed)
+_SERIES_READS = {
+    SeriesKind.RESISTANCE: ("boundary",),
+    SeriesKind.TOTAL_MASS: ("measure", "killing"),
+    SeriesKind.BOUNDED_HARMONIC: ("boundary", "measure", "killing"),
+}
 
 
 def series_terms(p: RadialProfile, kind: SeriesKind, depth: int) -> np.ndarray:
-    """First ``depth`` terms of the series (clipped to available values)."""
-    term, avail, _ = _term_functions(p, kind)
+    """First ``depth`` terms of the series (clipped to available values).
+
+    Terms are raw floats: inf or nan where a value leaves the float range.
+    """
+    return _series_terms(p, kind, depth)[0]
+
+
+def _series_terms(p: RadialProfile, kind: SeriesKind, depth: int) -> tuple[np.ndarray, str]:
+    """Terms plus a representation note.  An infinite or unknown total
+    measure makes every complement mass infinite, so the complement-mass
+    series is then taken in the interchanged order, with finite terms."""
+    note = ""
+    if kind is SeriesKind.FELLER_TAIL:
+        total = p.total_measure()
+        if total is None or not math.isfinite(total):
+            note = "terms via sum_r (sum_{k<r} 1/dB(k)) m(S_r)"
+    avail = p.value_depth(*_SERIES_READS.get(kind, ("boundary", "measure")))
+    if kind is SeriesKind.HAMBURGER:
+        avail -= 1  # term r reads m(r+1)
     n = int(min(depth, avail))
-    return np.array([term(r) for r in range(n)])
+    if n <= 0:
+        return np.zeros(0), note
+    with np.errstate(all="ignore"):
+        if kind is SeriesKind.TOTAL_MASS:
+            return p.values("measure", n) + p.values("killing", n), note
+        b = p.values("boundary", n)
+        if kind is SeriesKind.RESISTANCE:
+            return 1.0 / b, note
+        if kind is SeriesKind.HAMBURGER:
+            return np.cumsum(1.0 / b) ** 2 * p.values("measure", n + 1)[1:], note
+        m = p.values("measure", n)
+        if kind is SeriesKind.STOCHASTIC_MASS:
+            return np.cumsum(m) / b, note
+        if kind is SeriesKind.ENERGY_WEIGHT:
+            return np.cumsum(m) ** 2 / b, note
+        if kind is SeriesKind.BOUNDED_HARMONIC:
+            return np.cumsum(m + p.values("killing", n)) / b, note
+        if kind is SeriesKind.FELLER_TAIL:
+            if note:
+                return np.cumsum(np.append(0.0, 1.0 / b[:-1])) * m, note
+            # complement masses m(X \ B_r), summed from the far end
+            beyond = np.cumsum(np.append(p.measure_beyond(n - 1), m[:0:-1]))[::-1]
+            return beyond / b, note
+    raise ValueError(f"unknown series kind {kind}")  # pragma: no cover
 
 
 def _partial_sums(p: RadialProfile, kind: SeriesKind) -> tuple[tuple[int, ...], tuple[float, ...], str]:
-    term, avail, note = _term_functions(p, kind)
-    n = int(min(max(p.prefix_len + PARTIAL_SUM_MARGIN, PARTIAL_SUM_FLOOR_DEPTH), avail))
-    if n <= 0:
+    """Partial sums at the sampled depths, cut before the first one that
+    leaves the float range, with a note saying so."""
+    n = max(p.prefix_len + PARTIAL_SUM_MARGIN, PARTIAL_SUM_FLOOR_DEPTH)
+    terms, note = _series_terms(p, kind, n)
+    with np.errstate(all="ignore"):
+        sums = np.cumsum(terms)
+    finite = int(np.cumprod(np.isfinite(sums)).sum())  # leading finite sums
+    if finite < len(sums):
+        overflow = f"partial sums stop at r={finite}: float overflow"
+        note = f"{note}; {overflow}" if note else overflow
+    if finite == 0:
         return (), (), note
-    depths = _sample_depths(n)
-    sums = []
-    acc = 0.0
-    it = iter(depths)
-    nxt = next(it)
-    for r in range(n):
-        acc += term(r)
-        if r + 1 == nxt:
-            sums.append(acc)
-            nxt = next(it, None)
-    return tuple(depths), tuple(sums), note
+    depths = _sample_depths(finite)
+    return tuple(depths), tuple(sums[np.array(depths) - 1].tolist()), note
 
 
 def _decide(p: RadialProfile, kind: SeriesKind) -> tuple[bool | None, str]:
@@ -761,15 +827,18 @@ def verdict_bundle(p: RadialProfile) -> dict[SeriesKind, Verdict]:
     return out
 
 
-def bundle_consistency(bundle: dict[SeriesKind, Verdict]) -> list[str]:
+def bundle_consistency(
+    bundle: dict[SeriesKind, Verdict], killing_summable: bool | None = True
+) -> list[str]:
     """Cross-check the provable implications between decided verdicts.
 
     Returns human-readable descriptions of violations (empty when
     consistent): convergence of the cumulative-mass series forces
     convergence of the resistance series; convergence of the energy
-    series forces both the resistance and cumulative-mass series; and
-    finite total mass together with convergent resistance forces the
-    energy series.
+    series forces the resistance series and, when the killing sum is
+    finite (``killing_summable``, the default), the bounded-harmonic
+    series; and finite total mass together with convergent resistance
+    forces the energy series.
     """
     v = bundle
     out = []
@@ -783,7 +852,7 @@ def bundle_consistency(bundle: dict[SeriesKind, Verdict]) -> list[str]:
     if decided(SeriesKind.ENERGY_WEIGHT, SeriesKind.RESISTANCE):
         if v[SeriesKind.ENERGY_WEIGHT].holds and not v[SeriesKind.RESISTANCE].holds:
             out.append("energy_weight converges but resistance diverges")
-    if decided(SeriesKind.ENERGY_WEIGHT, SeriesKind.BOUNDED_HARMONIC):
+    if killing_summable and decided(SeriesKind.ENERGY_WEIGHT, SeriesKind.BOUNDED_HARMONIC):
         if v[SeriesKind.ENERGY_WEIGHT].holds and not v[SeriesKind.BOUNDED_HARMONIC].holds:
             out.append("energy_weight converges but bounded_harmonic diverges")
     if decided(SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE, SeriesKind.ENERGY_WEIGHT):

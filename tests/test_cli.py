@@ -1,16 +1,23 @@
 """Command-line interface, run in-process through main()."""
 
+import contextlib
 import io
 import json
+import math
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formuniq import WeightedGraph, gallery, load_profile, save_graph, save_profile
 from formuniq.cli import INCONCLUSIVE, INPUT_ERROR, OK, main
+from formuniq.families import WSS_GALLERY, SeqSpec, birth_death
 from formuniq.graph import parse_graph_text
-from formuniq.series import CustomTail, PowerGeomTail, RadialProfile
+from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, format_profile_text
 
 
 def run(capsys, *argv):
@@ -84,6 +91,79 @@ def test_analyze_requires_a_source(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == INPUT_ERROR
     assert "supply --profile" in err
+
+
+def analyze_json(text):
+    """``analyze --profile - --json`` on ``text``: exit code and payload,
+    with every warning raised as an error."""
+    out = io.StringIO()
+    with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(text)):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", "--profile", "-", "--json"])
+    return code, json.loads(out.getvalue())
+
+
+def chain_text(b, m, c=0.0):
+    """Profile text of a birth-death chain with 48 explicit radii."""
+    return format_profile_text(birth_death(b, m, c, prefix_len=48).profile)
+
+
+def all_partial_sums(payload):
+    return [s for v in payload.values() if isinstance(v, dict) for s in v["partial_sums"]]
+
+
+def test_analyze_overflowing_tail_exits_cleanly():
+    code, payload = analyze_json(
+        chain_text(SeqSpec(2.0, 3.0, 20.0), SeqSpec(1.0, -2.0, 0.05))
+    )
+    assert code == OK
+    assert payload["form_uniqueness"]["state"] == "fails"
+    assert payload["transience"]["state"] == "holds"
+    assert all(isinstance(s, float) and math.isfinite(s) for s in all_partial_sums(payload))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-6.0, 6.0), st.floats(0.05, 20.0)),
+        min_size=2,
+        max_size=2,
+    )
+)
+def test_analyze_edge_grammar_gives_documented_exits(tails):
+    (cb, pb, rb), (cm, pm, rm) = tails
+    code, payload = analyze_json(
+        chain_text(SeqSpec(10.0**cb, pb, rb), SeqSpec(10.0**cm, pm, rm))
+    )
+    assert code in (OK, INCONCLUSIVE)
+    assert payload["consistency_violations"] == []
+    for v in payload.values():
+        if isinstance(v, dict):
+            assert len(v["partial_sums"]) == len(v["sample_depths"])
+            note = "partial sums stop at r="
+            if note in v["reason"] and v["sample_depths"]:
+                assert f"{note}{v['sample_depths'][-1]}: float overflow" in v["reason"]
+    assert all(isinstance(s, float) and math.isfinite(s) for s in all_partial_sums(payload))
+
+
+def test_analyze_divergent_killing_is_consistent():
+    code, payload = analyze_json(
+        chain_text(SeqSpec(1.0, 0.0, 1.5), SeqSpec(1.0, 0.0, 0.6), SeqSpec(1.0, 0.0, 1.8))
+    )
+    assert code == OK
+    assert payload["consistency_violations"] == []
+
+
+@pytest.mark.parametrize("name", WSS_GALLERY)
+def test_emitted_gallery_profiles_analyze(capsys, tmp_path, name):
+    code, out, _ = run(capsys, "family", "--name", name, "--emit", "profile")
+    assert code == OK
+    assert "np." not in out
+    path = tmp_path / f"{name}.profile"
+    path.write_text(out)
+    code, _, err = run(capsys, "analyze", "--profile", str(path))
+    assert code in (OK, INCONCLUSIVE), err
 
 
 def test_check_consistent(capsys):

@@ -1,10 +1,12 @@
 """Property verdicts built from the canonical series, plus cross-checks."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from formuniq import series
 from formuniq.criteria import (
     _cross_checks,
     dirichlet_feller_verdict,
@@ -16,11 +18,19 @@ from formuniq.criteria import (
     transience_verdict,
 )
 from formuniq.errors import PreconditionError
-from formuniq.families import birth_death, gallery, geometric, power_seq
+from formuniq.families import (
+    WSS_GALLERY,
+    SeqSpec,
+    birth_death,
+    gallery,
+    geometric,
+    power_seq,
+)
 from formuniq.series import (
     CustomTail,
     PowerGeomTail,
     RadialProfile,
+    SeriesKind,
     Verdict,
     VerdictState,
 )
@@ -151,3 +161,73 @@ def test_undecidable_profile_reports_inconclusive():
     report = full_report(mystery(PowerGeomTail(1.0)))
     assert report.form_uniqueness.holds
     assert report.transience.inconclusive
+
+
+# ---------------------------------------------------------------------------
+# one verdict bundle per report
+# ---------------------------------------------------------------------------
+
+STANDALONE = {
+    "form_uniqueness": form_uniqueness_verdict,
+    "transience": transience_verdict,
+    "stochastic_incompleteness": stochastic_incompleteness_verdict,
+    "neumann_feller": neumann_feller_verdict,
+    "dirichlet_feller": dirichlet_feller_verdict,
+    "hamburger_esa": hamburger_esa_verdict,
+}
+
+
+def random_chain_profiles(n, seed=2718):
+    """Chains drawn like the acceptance suite's, a quarter with killing."""
+    rng = np.random.default_rng(seed)
+
+    def seq():
+        return SeqSpec(
+            coeff=float(rng.uniform(0.3, 3.0)),
+            power=float(rng.uniform(-2.0, 2.0)),
+            ratio=float(rng.uniform(0.55, 1.8)),
+        )
+
+    return [
+        birth_death(seq(), seq(), seq() if i % 4 == 0 else 0.0, prefix_len=48).profile
+        for i in range(n)
+    ]
+
+
+def test_full_report_matches_standalone_verdicts():
+    profiles = [gallery(name).profile for name in WSS_GALLERY] + random_chain_profiles(200)
+    for p in profiles:
+        report = full_report(p)
+        for name, verdict in report.items():
+            if verdict is None:
+                with pytest.raises(PreconditionError):
+                    STANDALONE[name](p)
+                continue
+            alone = STANDALONE[name](p)
+            assert (verdict.state, verdict.reason) == (alone.state, alone.reason)
+            assert verdict.partial_sums == alone.partial_sums
+
+
+@pytest.mark.parametrize("killing", [0.0, 0.5])
+def test_full_report_evaluates_each_series_once(monkeypatch, killing):
+    calls = Counter()
+    decide = series._decide
+
+    def counting(p, kind):
+        calls[kind] += 1
+        return decide(p, kind)
+
+    monkeypatch.setattr(series, "_decide", counting)
+    full_report(birth_death(geometric(2.0), geometric(0.5), killing).profile)
+    expected = set(SeriesKind) - ({SeriesKind.HAMBURGER} if killing else set())
+    assert set(calls) == expected
+    assert all(n == 1 for n in calls.values())
+
+
+def test_divergent_killing_is_not_a_contradiction():
+    # energy converges, but sum c = inf makes the bounded-harmonic series diverge
+    p = birth_death(geometric(1.5), geometric(0.6), geometric(1.8), prefix_len=48).profile
+    report = full_report(p)
+    assert report.series[SeriesKind.ENERGY_WEIGHT].holds
+    assert report.series[SeriesKind.BOUNDED_HARMONIC].fails
+    assert report.consistency_violations == ()

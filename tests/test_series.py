@@ -7,12 +7,24 @@ divergent one with sums that keep climbing.
 
 import io
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from formuniq import series
 from formuniq.errors import GraphFormatError, PreconditionError, StructuralError
-from formuniq.families import gallery
+from formuniq.families import (
+    WSS_GALLERY,
+    SeqSpec,
+    birth_death,
+    gallery,
+    geometric,
+    power_seq,
+)
 from formuniq.series import (
     CustomTail,
     PowerGeomTail,
@@ -165,6 +177,54 @@ def test_tail_sum_exact_geometric_and_power():
     assert tail_sum_exact(mix, 2) == pytest.approx(brute, rel=1e-12)
 
 
+def mp_tail_sum(coeff, power, ratio, r_from):
+    """The closed form in 30-digit mpmath, as a float."""
+    with mp.workdps(30):
+        return float(
+            mp.mpf(coeff) / ratio * mp.power(ratio, r_from + 1)
+            * mp.lerchphi(ratio, -power, r_from + 1)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_coeff=st.floats(-3.0, 3.0),
+    # mpmath's lerchphi is itself wrong for 0 < |s| <= 1e-30 (16.0000004 for a
+    # sum of 16 at s = 1e-40), so tiny nonzero powers are left out
+    power=st.floats(-6.0, 6.0).filter(lambda x: x == 0 or abs(x) >= 1e-20),
+    ratio=st.floats(0.05, 0.9999),
+    r_from=st.integers(0, 400),
+)
+@example(log_coeff=0.0, power=-3.0, ratio=1 - 1e-9, r_from=48)
+@example(log_coeff=2.0, power=6.0, ratio=0.9999, r_from=0)
+@example(log_coeff=-3.0, power=-6.0, ratio=0.05, r_from=400)
+def test_tail_sum_exact_matches_mpmath(log_coeff, power, ratio, r_from):
+    coeff = 10.0**log_coeff
+    got = tail_sum_exact(PowerGeomTail(coeff, power, ratio), r_from)
+    want = mp_tail_sum(coeff, power, ratio, r_from)
+    if want == 0.0:  # below the double range
+        assert got == 0.0
+    elif want < sys.float_info.min:  # subnormal: only absolute error is meaningful
+        assert abs(got - want) <= 1e-12 * sys.float_info.min
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_tail_sum_falls_back_to_mpmath_next_to_ratio_one():
+    # the remainder bound cannot be certified within the float term budget
+    assert series._geometric_tail_sum(1.0, -3.0, 1 - 1e-9, 48) is None
+    assert series._geometric_tail_sum(1.0, -3.0, 0.5, 48) is not None
+
+
+@pytest.mark.parametrize("power", [-3.0, 0.0, 2.0])
+def test_tail_sum_next_to_the_term_budget(power):
+    # rho = 1 - 1e-5 needs about 5e6 float terms: refused before summing
+    ratio = 1 - 1e-5
+    assert series._geometric_tail_sum(1.0, power, ratio, 48) is None
+    got = tail_sum_exact(PowerGeomTail(1.0, power, ratio), 48)
+    assert got == pytest.approx(mp_tail_sum(1.0, power, ratio, 48), rel=1e-12, abs=0.0)
+
+
 # -- radial profiles ----------------------------------------------------------
 
 
@@ -256,11 +316,67 @@ def test_measure_beyond_and_mass_beyond():
     assert infinite.measure_beyond(3) == math.inf
 
 
+@pytest.mark.parametrize("r", [20, 30, 64])
+def test_complement_masses_do_not_cancel(r):
+    n = 48
+    p = chain_profile(
+        np.ones(n),
+        0.3 ** np.arange(n),
+        c=0.5 * 0.2 ** np.arange(n),
+        boundary_tail=PowerGeomTail(1.0),
+        measure_tail=PowerGeomTail(1.0, 0.0, 0.3),
+        killing_tail=PowerGeomTail(0.5, 0.0, 0.2),
+    )
+    m_beyond = 0.3 ** (r + 1) / 0.7
+    assert p.measure_beyond(r) == pytest.approx(m_beyond, rel=1e-12, abs=0.0)
+    c_beyond = 0.5 * 0.2 ** (r + 1) / 0.8
+    assert p.mass_beyond(r) == pytest.approx(m_beyond + c_beyond, rel=1e-12, abs=0.0)
+
+
 # -- series verdicts -----------------------------------------------------------
 
 
 def brute_partial_sums(p, kind, depth=200):
     return np.cumsum(series_terms(p, kind, depth))
+
+
+def scalar_terms(p, kind, n):
+    """The first ``n`` series terms, one radius at a time from the scalar
+    accessors: the reference for the array expressions."""
+    interchange = not math.isfinite(p.total_measure())
+    out, cm, cmc, inv = [], 0.0, 0.0, 0.0
+    for r in range(n):
+        b, m, c = p.boundary(r), p.sphere_measure(r), p.sphere_killing(r)
+        inv_before, cm, cmc, inv = inv, cm + m, cmc + m + c, inv + 1.0 / b
+        out.append({
+            SeriesKind.RESISTANCE: 1.0 / b,
+            SeriesKind.TOTAL_MASS: m + c,
+            SeriesKind.STOCHASTIC_MASS: cm / b,
+            SeriesKind.FELLER_TAIL: (
+                inv_before * m if interchange else p.measure_beyond(r) / b
+            ),
+            SeriesKind.ENERGY_WEIGHT: cm**2 / b,
+            SeriesKind.BOUNDED_HARMONIC: cmc / b,
+            SeriesKind.HAMBURGER: inv**2 * p.sphere_measure(r + 1),
+        }[kind])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", list(SeriesKind))
+def test_series_terms_match_scalar_reference(kind):
+    chains = [
+        birth_death(geometric(1.5), geometric(0.6), geometric(0.3), prefix_len=48),
+        birth_death(power_seq(2.0), power_seq(-0.5), 0.0, prefix_len=48),
+        birth_death(SeqSpec(0.7, 1.5, 0.9), SeqSpec(2.0, -1.0, 1.1), 0.0, prefix_len=48),
+    ]
+    profiles = [gallery(name).profile for name in WSS_GALLERY] + [f.profile for f in chains]
+    for p in profiles:
+        if kind is SeriesKind.HAMBURGER and not (p.is_birth_death and p.killing_is_zero):
+            continue
+        n = p.prefix_len + series.PARTIAL_SUM_MARGIN
+        want = scalar_terms(p, kind, n)
+        got = series_terms(p, kind, n)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=p.name)
 
 
 @pytest.mark.parametrize(
@@ -368,6 +484,40 @@ def test_bundle_consistency_flags_fabricated_contradiction():
     # finite total mass with divergent resistance contradicts the
     # cumulative-mass series, which converges here
     assert bundle_consistency(broken)
+
+
+def test_energy_implies_bounded_harmonic_only_with_summable_killing():
+    bundle = verdict_bundle(gallery("geometric_chain").profile)
+    assert bundle[SeriesKind.ENERGY_WEIGHT].holds
+    broken = dict(bundle)
+    broken[SeriesKind.BOUNDED_HARMONIC] = Verdict(
+        VerdictState.FAILS, "", "fabricated for the test", kind="bounded_harmonic"
+    )
+    message = "energy_weight converges but bounded_harmonic diverges"
+    assert message in bundle_consistency(broken, killing_summable=True)
+    assert message in bundle_consistency(broken)  # summable killing is the default
+    # divergent killing can make the bounded-harmonic series diverge alone
+    assert message not in bundle_consistency(broken, killing_summable=False)
+
+
+def test_partial_sums_stop_at_float_overflow():
+    # 1/dB(r) = 20^r leaves the float range at r = 237
+    n = 48
+    p = chain_profile(
+        0.05 ** np.arange(n),
+        0.01 ** np.arange(n),
+        boundary_tail=PowerGeomTail(1.0, 0.0, 0.05),
+        measure_tail=PowerGeomTail(1.0, 0.0, 0.01),
+    )
+    with np.errstate(all="raise"):
+        bundle = verdict_bundle(p)
+    res = bundle[SeriesKind.RESISTANCE]
+    assert res.fails  # the verdict still comes from the tail grammar
+    assert res.reason.endswith("; partial sums stop at r=237: float overflow")
+    assert res.sample_depths[-1] == 237
+    assert bundle[SeriesKind.TOTAL_MASS].sample_depths[-1] == series.PARTIAL_SUM_FLOOR_DEPTH
+    for v in bundle.values():
+        assert all(math.isfinite(s) for s in v.partial_sums)
 
 
 # -- quotient chains and the text format ------------------------------------
