@@ -28,10 +28,10 @@ from .families import Family
 from .graph import WeightedGraph, degrees, form_norm_sq
 from .series import (
     CustomTail,
-    PowerGeomTail,
     quotient_graph,
     tail_add,
     tail_converges,
+    tail_max,
     tail_mul,
     tail_reciprocal,
     tail_shift,
@@ -213,24 +213,6 @@ def equilibrium_potential(
 # ---------------------------------------------------------------------------
 
 
-def _tail_extreme(
-    a: PowerGeomTail | None, b: PowerGeomTail | None, *, larger: bool
-) -> PowerGeomTail | None:
-    """Class of max/min of two positive sequences."""
-    if a is None or b is None:
-        return None
-    if a.is_zero or b.is_zero:
-        small, big = (a, b) if a.is_zero else (b, a)
-        return big if larger else small
-    ka, kb = (a.ratio, a.power), (b.ratio, b.power)
-    if ka == kb:
-        pick = max if larger else min
-        return PowerGeomTail(pick(a.coeff, b.coeff), a.power, a.ratio)
-    if (ka > kb) == larger:
-        return a
-    return b
-
-
 @dataclass(frozen=True)
 class RadialReach:
     """Total sigma-length of the radial direction of a profile.
@@ -285,7 +267,7 @@ def radial_boundary_reach(p) -> RadialReach:
     if kt is not None:
         num = tail_add(num, kt)
     deg_class = tail_mul(num, tail_reciprocal(p.measure_tail))
-    deg_max = _tail_extreme(deg_class, tail_shift(deg_class, 1), larger=True)
+    deg_max = tail_max(deg_class, tail_shift(deg_class, 1))
     sigma_class = tail_reciprocal(tail_sqrt(deg_max))
     finite = tail_converges(sigma_class)
     beyond = tail_sum_exact(sigma_class, n - 1) if finite else math.inf

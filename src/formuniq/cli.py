@@ -21,12 +21,6 @@ from . import capacity, criteria, families, graph, harmonic, series, stability
 
 OK, INPUT_ERROR, INCONCLUSIVE = 0, 2, 3
 
-_SEQ_NAMES = {
-    "unit": lambda: families.const(1.0),
-    "linear": families.linear,
-    "square": lambda: families.power_seq(2.0),
-}
-
 # constructor name -> (callable, parameter names in order, required count)
 _CONSTRUCTORS = {
     "birth_death": (families.birth_death, ("b", "m", "c"), 2),
@@ -48,17 +42,6 @@ _CONSTRUCTORS = {
         ("x_b", "x_m", "y_b", "y_m", "z_b", "z_m", "xy_b", "yz_b"), 8,
     ),
 }
-
-
-def _parse_seq_arg(text: str) -> families.SeqSpec:
-    t = text.strip()
-    if t in _SEQ_NAMES:
-        return _SEQ_NAMES[t]()
-    if t.startswith("geom:"):
-        return families.geometric(float(t[len("geom:"):]))
-    if t.startswith("power:"):
-        return families.power_seq(float(t[len("power:"):]))
-    return families.parse_seq(t)
 
 
 def _parse_params(pairs: list[str]) -> dict[str, str]:
@@ -95,7 +78,7 @@ def _resolve_family(name: str, params: list[str]) -> families.Family:
         raise ValueError(f"{name} requires --params {' '.join(missing)}")
     kwargs = {}
     for key, value in raw.items():
-        kwargs[key] = float(value) if key == "hub_m" else _parse_seq_arg(value)
+        kwargs[key] = float(value) if key == "hub_m" else series.parse_seq(value)
     return ctor(**kwargs)
 
 
@@ -162,9 +145,27 @@ def _print_verdict_line(name: str, v: series.Verdict | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    """``analyze`` prints every verdict in full, ``check`` only its state."""
     profile = _load_profile_arg(args)
     report = criteria.full_report(profile)
-    if args.json:
+    if args.command == "check":
+        states = {name: (v.state.value if v else None) for name, v in report.items()}
+        if args.json:
+            _dump_json(
+                {
+                    "states": states,
+                    "consistency_violations": list(report.consistency_violations),
+                }
+            )
+        else:
+            for name, state in states.items():
+                print(f"{name}: {state or 'n/a'}")
+            if report.consistency_violations:
+                for violation in report.consistency_violations:
+                    print(f"violation: {violation}")
+            else:
+                print("all cross-checks consistent")
+    elif args.json:
         payload = {name: _verdict_dict(v) for name, v in report.items()}
         payload["consistency_violations"] = list(report.consistency_violations)
         _dump_json(payload)
@@ -185,30 +186,37 @@ def _cmd_harmonic(args) -> int:
     profile = _load_profile_arg(args)
     sol = harmonic.solve_symmetric_harmonic(profile, args.alpha, args.u0, args.depth)
     membership = harmonic.membership_report(profile, sol)
+    rows = sol.finite_rows
+    note = f"u leaves the float range at r={rows}" if rows <= sol.depth else ""
     if args.json:
-        _dump_json(
-            {
-                "alpha": sol.alpha,
-                "values": list(sol.values),
-                "increments": list(sol.increments),
-                "partial_l1": list(sol.partial_l1),
-                "partial_l2": list(sol.partial_l2),
-                "partial_energy": list(sol.partial_energy),
-                "membership": {k: _verdict_dict(v) for k, v in membership},
-            }
-        )
+        payload = {
+            "alpha": sol.alpha,
+            "values": list(sol.values[:rows]),
+            "increments": list(sol.increments[:rows]),
+            "partial_l1": list(sol.partial_l1[:rows]),
+            "partial_l2": list(sol.partial_l2[:rows]),
+            "partial_energy": list(sol.partial_energy[:rows]),
+            "membership": {k: _verdict_dict(v) for k, v in membership},
+        }
+        if note:
+            payload["note"] = note
+        _dump_json(payload)
     else:
         print("r,u,increment,partial_l1,partial_l2,partial_energy")
-        for r in range(sol.depth + 1):
+        for r in range(rows):
             inc = repr(float(sol.increments[r])) if r < sol.depth else ""
             en = repr(float(sol.partial_energy[r])) if r < sol.depth else ""
             print(
                 f"{r},{float(sol.values[r])!r},{inc},"
                 f"{float(sol.partial_l1[r])!r},{float(sol.partial_l2[r])!r},{en}"
             )
+        if note:
+            print(f"# note: {note}")
         for name, verdict in membership:
             print(f"# {name}: {verdict.state.value} ({verdict.reason})")
-    return INCONCLUSIVE if any(v.inconclusive for _, v in membership) else OK
+    if note or any(v.inconclusive for _, v in membership):
+        return INCONCLUSIVE
+    return OK
 
 
 def _cmd_capacity(args) -> int:
@@ -355,30 +363,6 @@ def _cmd_ends(args) -> int:
     return OK if report.verdict.decided else INCONCLUSIVE
 
 
-def _cmd_check(args) -> int:
-    profile = _load_profile_arg(args)
-    report = criteria.full_report(profile)
-    states = {name: (v.state.value if v else None) for name, v in report.items()}
-    if args.json:
-        _dump_json(
-            {
-                "states": states,
-                "consistency_violations": list(report.consistency_violations),
-            }
-        )
-    else:
-        for name, state in states.items():
-            print(f"{name}: {state or 'n/a'}")
-        if report.consistency_violations:
-            for violation in report.consistency_violations:
-                print(f"violation: {violation}")
-        else:
-            print("all cross-checks consistent")
-    if report.consistency_violations:
-        return INPUT_ERROR
-    return INCONCLUSIVE if report.any_inconclusive else OK
-
-
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in str(text).split(",") if part.strip() != ""]
@@ -443,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="consistency suite over all verdicts")
     add_profile_source(p)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_analyze)
 
     return parser
 

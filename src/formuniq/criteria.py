@@ -39,26 +39,11 @@ from .series import (
     VerdictState,
     bundle_consistency,
     series_verdict,
+    state_and,
+    state_not,
     tail_converges,
     verdict_bundle,
 )
-
-
-def _negate(state: VerdictState) -> VerdictState:
-    if state is VerdictState.HOLDS:
-        return VerdictState.FAILS
-    if state is VerdictState.FAILS:
-        return VerdictState.HOLDS
-    return VerdictState.INCONCLUSIVE
-
-
-def _and(a: VerdictState, b: VerdictState) -> VerdictState:
-    """Ternary conjunction: False dominates, then unknown."""
-    if VerdictState.FAILS in (a, b):
-        return VerdictState.FAILS
-    if VerdictState.INCONCLUSIVE in (a, b):
-        return VerdictState.INCONCLUSIVE
-    return VerdictState.HOLDS
 
 
 def _require_no_killing(p: RadialProfile, what: str) -> None:
@@ -79,7 +64,7 @@ def form_uniqueness_verdict(p: RadialProfile) -> Verdict:
 
 def _form_uniqueness(tm: Verdict, res: Verdict) -> Verdict:
     return Verdict(
-        _negate(_and(tm.state, res.state)),
+        state_not(state_and(tm.state, res.state)),
         "the minimal and maximal energy forms coincide",
         f"total mass {tm.state.value} ({tm.reason}); "
         f"resistance {res.state.value} ({res.reason})",
@@ -125,7 +110,7 @@ def neumann_feller_verdict(p: RadialProfile) -> Verdict:
 def _neumann_feller(ft: Verdict) -> Verdict:
     return replace(
         ft,
-        state=_negate(ft.state),
+        state=state_not(ft.state),
         label="the maximal semigroup is Feller",
         reason=f"complement-mass series {ft.state.value} ({ft.reason})",
         kind="neumann_feller",
@@ -146,7 +131,7 @@ def dirichlet_feller_verdict(p: RadialProfile) -> Verdict:
 
 def _dirichlet_feller(res: Verdict, ft: Verdict) -> Verdict:
     return Verdict(
-        _negate(_and(_negate(res.state), ft.state)),
+        state_not(state_and(state_not(res.state), ft.state)),
         "the minimal semigroup is Feller",
         f"resistance {res.state.value}; complement-mass series {ft.state.value}",
         kind="dirichlet_feller",
@@ -166,7 +151,7 @@ def hamburger_esa_verdict(p: RadialProfile) -> Verdict:
 def _hamburger_esa(ham: Verdict) -> Verdict:
     return replace(
         ham,
-        state=_negate(ham.state),
+        state=state_not(ham.state),
         label="the minimal operator is essentially self-adjoint",
         reason=f"growth series {ham.state.value} "
         f"(convergence puts both fundamental solutions in l2): {ham.reason}",

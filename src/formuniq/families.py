@@ -3,7 +3,8 @@
 Every family packages three mutually consistent views of one infinite
 graph:
 
-* closed-form per-radius sequences (:class:`SeqSpec`),
+* closed-form per-radius sequences (:class:`~formuniq.series.PowerGeomTail`,
+  also named ``SeqSpec``),
 * an exact :class:`RadialProfile` (when the graph is weakly spherically
   symmetric about its root) or per-end profiles,
 * finite truncations as :class:`WeightedGraph` objects, with role
@@ -17,7 +18,6 @@ consumed by the decomposition and instability machinery.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 
@@ -28,6 +28,7 @@ from .graph import WeightedGraph
 from .series import (
     PowerGeomTail,
     RadialProfile,
+    SeqSpec,
     ZERO_TAIL,
     tail_converges,
     tail_mul,
@@ -44,70 +45,6 @@ DEFAULT_PREFIX = 320
 # ---------------------------------------------------------------------------
 # closed-form sequences
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeqSpec:
-    """A nonnegative sequence ``a(r) = coeff * (r+1)^power * ratio^r``
-    with finitely many per-index overrides.
-
-    The closed form doubles as the sequence's own tail model, so
-    truncations at any depth and the profile tail are consistent by
-    construction.
-    """
-
-    coeff: float = 1.0
-    power: float = 0.0
-    ratio: float = 1.0
-    overrides: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.coeff < 0:
-            raise ValueError("sequence coefficient must be nonnegative")
-        if self.ratio <= 0:
-            raise ValueError("sequence ratio must be positive")
-        for r, _ in self.overrides:
-            if r < 0:
-                raise ValueError(f"override index must be nonnegative, got {r}")
-
-    def value(self, r: int) -> float:
-        for k, v in self.overrides:
-            if k == r:
-                return float(v)
-        try:
-            return self.coeff * float(r + 1) ** self.power * self.ratio**r
-        except OverflowError:
-            # report as inf so range checks can flag it with context
-            return math.inf
-
-    def values(self, n: int) -> np.ndarray:
-        return np.array([self.value(r) for r in range(n)], dtype=float)
-
-    def tail_class(self) -> PowerGeomTail:
-        """Tail model valid beyond every override."""
-        return PowerGeomTail(self.coeff, self.power, self.ratio)
-
-    @property
-    def tail_start(self) -> int:
-        return 1 + max((r for r, _ in self.overrides), default=-1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeff == 0 and all(v == 0 for _, v in self.overrides)
-
-    def describe(self) -> str:
-        parts = []
-        if self.coeff != 1 or (self.power == 0 and self.ratio == 1):
-            parts.append(f"{self.coeff:g}")
-        if self.power != 0:
-            parts.append(f"(r+1)^{self.power:g}")
-        if self.ratio != 1:
-            parts.append(f"{self.ratio:g}^r")
-        text = "*".join(parts)
-        if self.overrides:
-            ov = ",".join(f"a({r})={v:g}" for r, v in self.overrides)
-            text += f" [{ov}]"
-        return text
 
 
 def const(v: float) -> SeqSpec:
@@ -135,27 +72,8 @@ def as_seq(spec: SeqSpec | float | int) -> SeqSpec:
     return const(float(spec))
 
 
-def parse_seq(text: str) -> SeqSpec:
-    """Parse ``"C"`` or ``"C,p"`` or ``"C,p,rho"`` into a SeqSpec."""
-    parts = [s.strip() for s in text.split(",")]
-    if not 1 <= len(parts) <= 3:
-        raise ValueError(f"expected 'C[,p[,rho]]', got {text!r}")
-    try:
-        nums = [float(s) for s in parts]
-    except ValueError as exc:
-        raise ValueError(f"bad sequence descriptor {text!r}: {exc}") from None
-    nums += [0.0, 1.0][len(nums) - 1 :]
-    return SeqSpec(coeff=nums[0], power=nums[1], ratio=nums[2])
-
-
-def format_seq(s: SeqSpec) -> str:
-    if s.overrides:
-        raise ValueError("sequences with overrides have no flat text form")
-    return f"{s.coeff!r},{s.power!r},{s.ratio!r}"
-
-
 def _checked_values(seq: SeqSpec, n: int, label: str, *, positive: bool) -> np.ndarray:
-    vals = seq.values(n)
+    vals = np.array([seq.value(r) for r in range(n)], dtype=float)
     if not np.all(np.isfinite(vals)):
         raise StructuralError(
             f"{label} sequence overflows within the first {n} radii; "

@@ -68,6 +68,14 @@ class HarmonicSolution:
     def depth(self) -> int:
         return len(self.values) - 1
 
+    @property
+    def finite_rows(self) -> int:
+        """Leading radii whose values and running sums are all finite:
+        ``depth + 1`` unless the recurrence left the float range."""
+        ok = np.isfinite(self.values) & np.isfinite(self.partial_l1) & np.isfinite(self.partial_l2)
+        ok[:-1] &= np.isfinite(self.increments) & np.isfinite(self.partial_energy)
+        return int(np.cumprod(ok).sum())
+
 
 def solve_symmetric_harmonic(
     p: RadialProfile, alpha: float, u0: float, depth: int
@@ -99,22 +107,25 @@ def solve_symmetric_harmonic(
     u[0] = u0
     drive = 0.0  # running sum of (c + alpha m)(S_k) u(k)
     acc_l1 = acc_l2 = acc_energy = 0.0
-    for r in range(depth + 1):
-        m_r = p.sphere_measure(r)
-        c_r = p.sphere_killing(r)
-        acc_l1 += u[r] * m_r
-        acc_l2 += u[r] ** 2 * m_r
-        l1[r], l2[r] = acc_l1, acc_l2
-        if r == depth:
-            break
-        b_r = p.boundary(r)
-        if not b_r > 0:
-            raise StructuralError(f"layer boundary weight dB({r}) = {b_r} is not positive")
-        drive += (c_r + alpha * m_r) * u[r]
-        inc[r] = drive / b_r
-        u[r + 1] = u[r] + inc[r]
-        acc_energy += b_r * inc[r] ** 2 + c_r * u[r] ** 2
-        en[r] = acc_energy
+    # past the float range values turn inf or nan, quietly: callers find
+    # the first non-finite radius themselves
+    with np.errstate(all="ignore"):
+        for r in range(depth + 1):
+            m_r = p.sphere_measure(r)
+            c_r = p.sphere_killing(r)
+            acc_l1 += u[r] * m_r
+            acc_l2 += u[r] ** 2 * m_r
+            l1[r], l2[r] = acc_l1, acc_l2
+            if r == depth:
+                break
+            b_r = p.boundary(r)
+            if not b_r > 0:
+                raise StructuralError(f"layer boundary weight dB({r}) = {b_r} is not positive")
+            drive += (c_r + alpha * m_r) * u[r]
+            inc[r] = drive / b_r
+            u[r + 1] = u[r] + inc[r]
+            acc_energy += b_r * inc[r] ** 2 + c_r * u[r] ** 2
+            en[r] = acc_energy
     return HarmonicSolution(
         alpha=float(alpha),
         values=u,
@@ -299,9 +310,10 @@ def membership_report(p: RadialProfile, sol: HarmonicSolution) -> MembershipRepo
     bh = series_verdict(p, SeriesKind.BOUNDED_HARMONIC)
     ew = series_verdict(p, SeriesKind.ENERGY_WEIGHT)
 
+    last = max(1, min(sol.depth, sol.finite_rows - 1))  # sampled within the float range
     depths = tuple(
-        d for d in (1, 2, 4, 8, 16, 32, 64, 128, 256) if d < sol.depth
-    ) + (sol.depth,)
+        d for d in (1, 2, 4, 8, 16, 32, 64, 128, 256) if d < last
+    ) + (last,)
     l1_partials = tuple(float(sol.partial_l1[d] ) for d in depths)
     l2_partials = tuple(float(sol.partial_l2[d]) for d in depths)
     en_partials = tuple(float(sol.partial_energy[d - 1]) for d in depths)

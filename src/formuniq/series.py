@@ -61,43 +61,75 @@ from .symmetry import SphereDecomposition, is_weakly_spherically_symmetric
 
 @dataclass(frozen=True)
 class PowerGeomTail:
-    """Closed-form tail ``a(r) = coeff * (r+1)^power * ratio^r``.
+    """Closed-form sequence ``a(r) = coeff * (r+1)^power * ratio^r`` with
+    finitely many per-index overrides.
 
     ``coeff = 0`` denotes the identically-zero tail (used for killing
-    sequences); otherwise ``coeff > 0`` and ``ratio > 0``.
+    sequences); otherwise ``coeff > 0`` and ``ratio > 0``.  Without
+    overrides the sequence is its own tail model; with them,
+    :meth:`tail_class` is the model valid from :attr:`tail_start` on.
     """
 
-    coeff: float
+    coeff: float = 1.0
     power: float = 0.0
     ratio: float = 1.0
+    overrides: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
         for attr in ("coeff", "power", "ratio"):
             object.__setattr__(self, attr, float(getattr(self, attr)))
         if self.coeff < 0:
-            raise ValueError("tail coefficient must be nonnegative")
+            raise ValueError("sequence coefficient must be nonnegative")
         if self.ratio <= 0:
-            raise ValueError("tail ratio must be positive")
+            raise ValueError("sequence ratio must be positive")
+        for r, _ in self.overrides:
+            if r < 0:
+                raise ValueError(f"override index must be nonnegative, got {r}")
 
     @property
     def is_zero(self) -> bool:
-        return self.coeff == 0
+        return self.coeff == 0 and all(v == 0 for _, v in self.overrides)
+
+    @property
+    def tail_start(self) -> int:
+        return 1 + max((r for r, _ in self.overrides), default=-1)
+
+    def tail_class(self) -> PowerGeomTail:
+        """Tail model valid beyond every override."""
+        if not self.overrides:
+            return self
+        return PowerGeomTail(self.coeff, self.power, self.ratio)
 
     def value(self, r: int) -> float:
+        """``a(r)``; inf where the closed form leaves the float range."""
+        for k, v in self.overrides:
+            if k == r:
+                return float(v)
         if self.coeff == 0:
             return 0.0
-        return self.coeff * (r + 1.0) ** self.power * self.ratio**r
-
-    def values(self, r: np.ndarray) -> np.ndarray:
-        """``value`` at every radius in ``r``; inf (or nan, for inf * 0)
-        where the float range is left, without warnings."""
-        if self.coeff == 0:
-            return np.zeros(len(r))
-        with np.errstate(all="ignore"):
+        try:
             return self.coeff * (r + 1.0) ** self.power * self.ratio**r
+        except OverflowError:
+            return math.inf
+
+    def values(self, radii: np.ndarray) -> np.ndarray:
+        """``value`` at every radius in ``radii``; inf (or nan, for
+        inf * 0) where the float range is left, without warnings."""
+        if self.coeff == 0:
+            out = np.zeros(len(radii))
+        else:
+            with np.errstate(all="ignore"):
+                out = self.coeff * (radii + 1.0) ** self.power * self.ratio**radii
+        for k, v in self.overrides:
+            out[radii == k] = v
+        return out
 
     def describe(self) -> str:
         return f"{self.coeff:.6g}*(r+1)^{self.power:.6g}*{self.ratio:.6g}^r"
+
+
+# the per-radius sequences of the families are the same closed form
+SeqSpec = PowerGeomTail
 
 
 @dataclass(frozen=True)
@@ -111,14 +143,38 @@ class CustomTail:
     convergent: bool | None = None
 
     def describe(self) -> str:
-        flag = {True: "yes", False: "no", None: "unknown"}[self.convergent]
-        return f"custom convergent={flag}"
+        return f"custom convergent={_FLAG_WORDS[self.convergent]}"
+
+
+_FLAG_WORDS = {True: "yes", False: "no", None: "unknown"}
 
 
 TailModel = Union[PowerGeomTail, CustomTail]
 
 ZERO_TAIL = PowerGeomTail(0.0)
 ONES_TAIL = PowerGeomTail(1.0)
+
+_SEQ_FORMS = "'C[,p[,rho]]', 'geom:RATIO', 'power:P', 'linear', 'square' or 'unit'"
+
+
+def parse_seq(text: str) -> PowerGeomTail:
+    """Parse a closed-form sequence: ``C[,p[,rho]]`` (p = 0 and rho = 1
+    by default), ``geom:RATIO`` (ratio^r), ``power:P`` ((r+1)^P),
+    ``linear`` (r+1), ``square`` ((r+1)^2) or ``unit`` (1)."""
+    t = text.strip()
+    if t.startswith("geom:"):
+        fields = ["1", "0", t[len("geom:"):]]
+    elif t.startswith("power:"):
+        fields = ["1", t[len("power:"):]]
+    else:
+        fields = {"unit": "1", "linear": "1,1", "square": "1,2"}.get(t, t).split(",")
+    if not 1 <= len(fields) <= 3:
+        raise ValueError(f"expected {_SEQ_FORMS}, got {text!r}")
+    try:
+        nums = [float(f) for f in fields]
+    except ValueError:
+        raise ValueError(f"bad sequence descriptor {text!r}: expected {_SEQ_FORMS}") from None
+    return PowerGeomTail(*nums)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +200,40 @@ def tail_converges(t: TailModel | None) -> bool | None:
     if t.ratio > 1:
         return False
     return t.power < -1
+
+
+def tail_bounded(t: TailModel | None) -> bool | None:
+    """Is ``C (r+1)^p rho^r`` bounded above as r -> inf?"""
+    if not isinstance(t, PowerGeomTail):
+        return None
+    if t.is_zero:
+        return True
+    if t.ratio != 1:
+        return t.ratio < 1
+    return t.power <= 0
+
+
+def tail_bounded_below(t: TailModel | None) -> bool | None:
+    """Is the positive sequence ``C (r+1)^p rho^r`` bounded away from 0?"""
+    if not isinstance(t, PowerGeomTail):
+        return None
+    if t.is_zero:
+        return False
+    if t.ratio != 1:
+        return t.ratio > 1
+    return t.power >= 0
+
+
+def tail_max(a: PowerGeomTail | None, b: PowerGeomTail | None) -> PowerGeomTail | None:
+    """Class of the pointwise max of two positive sequences."""
+    if a is None or b is None:
+        return None
+    if a.is_zero or b.is_zero:
+        return b if a.is_zero else a
+    ka, kb = (a.ratio, a.power), (b.ratio, b.power)
+    if ka == kb:
+        return PowerGeomTail(max(a.coeff, b.coeff), a.power, a.ratio)
+    return a if ka > kb else b
 
 
 def _closed(t: TailModel | None) -> PowerGeomTail | None:
@@ -438,15 +528,9 @@ class RadialProfile:
         """Largest radius count with defined values for the named
         sequences ('boundary', 'measure', 'killing', 'count'); inf when
         all involved tails are closed form."""
-        tails = {
-            "boundary": self.boundary_tail,
-            "measure": self.measure_tail,
-            "killing": self.killing_tail,
-            "count": self.count_tail,
-        }
         depth = math.inf
         for s in sequences:
-            if isinstance(tails[s], CustomTail):
+            if isinstance(self._sequence(s)[1], CustomTail):
                 depth = min(depth, self.prefix_len)
         return depth
 
@@ -533,6 +617,11 @@ class VerdictState(Enum):
     FAILS = "fails"
     INCONCLUSIVE = "inconclusive"
 
+    @property
+    def truth(self) -> bool | None:
+        """True / False / None for HOLDS / FAILS / INCONCLUSIVE."""
+        return None if self is VerdictState.INCONCLUSIVE else self is VerdictState.HOLDS
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -574,6 +663,24 @@ def _state(conv: bool | None) -> VerdictState:
     if conv is None:
         return VerdictState.INCONCLUSIVE
     return VerdictState.HOLDS if conv else VerdictState.FAILS
+
+
+def state_and(a: VerdictState, b: VerdictState) -> VerdictState:
+    """Kleene conjunction: FAILS dominates, then INCONCLUSIVE."""
+    if VerdictState.FAILS in (a, b):
+        return VerdictState.FAILS
+    if VerdictState.INCONCLUSIVE in (a, b):
+        return VerdictState.INCONCLUSIVE
+    return VerdictState.HOLDS
+
+
+def state_not(a: VerdictState) -> VerdictState:
+    """Kleene negation: swaps HOLDS and FAILS, keeps INCONCLUSIVE."""
+    if a is VerdictState.HOLDS:
+        return VerdictState.FAILS
+    if a is VerdictState.FAILS:
+        return VerdictState.HOLDS
+    return VerdictState.INCONCLUSIVE
 
 
 PARTIAL_SUM_FLOOR_DEPTH = 256
@@ -670,6 +777,7 @@ def _decide(p: RadialProfile, kind: SeriesKind) -> tuple[bool | None, str]:
     b_flag = tail_converges(p.boundary_tail)  # sum dB(r) converges?
     m_conv = tail_converges(p.measure_tail)
     c_conv = tail_converges(p.killing_tail)
+    mass_conv = state_and(_state(m_conv), _state(c_conv)).truth  # sum (c+m) converges?
 
     def closed_reason(cls: PowerGeomTail | None) -> str:
         conv = tail_converges(cls)
@@ -692,33 +800,14 @@ def _decide(p: RadialProfile, kind: SeriesKind) -> tuple[bool | None, str]:
         return None, "custom boundary tail without a deciding flag"
 
     if kind is SeriesKind.TOTAL_MASS:
-        conv = None
-        if m_conv is False or c_conv is False:
-            conv = False
-        elif m_conv and c_conv:
-            conv = True
         parts = []
         for lbl, t, fl in (("m", mt, m_conv), ("c", ct, c_conv)):
             parts.append(f"{lbl}: {t.describe() if t else f'custom({fl})'}")
-        return conv, "; ".join(parts)
+        return mass_conv, "; ".join(parts)
 
     if kind is SeriesKind.STOCHASTIC_MASS or kind is SeriesKind.BOUNDED_HARMONIC:
         with_killing = kind is SeriesKind.BOUNDED_HARMONIC
-        if with_killing:
-            if mt is not None and ct is not None:
-                seq = tail_add(mt, ct)
-                seq_conv = tail_converges(seq)
-            else:
-                seq = None
-                seq_conv = (
-                    None
-                    if (m_conv is None or c_conv is None) and not (m_conv is False or c_conv is False)
-                    else (m_conv and c_conv)
-                )
-                if m_conv is False or c_conv is False:
-                    seq_conv = False
-        else:
-            seq, seq_conv = mt, m_conv
+        seq, seq_conv = (tail_add(mt, ct), mass_conv) if with_killing else (mt, m_conv)
         if seq is not None and bt is not None:
             total = p.mass_beyond(-1) if with_killing else p.total_measure()
             cls = tail_mul(tail_cumsum_class(seq, total), tail_reciprocal(bt))
@@ -955,7 +1044,7 @@ def _parse_tail(text: str) -> TailModel:
             if not p_.startswith("convergent="):
                 raise ValueError(f"unknown custom tail field {p_!r}")
             word = p_.split("=", 1)[1]
-            flag = {"yes": True, "no": False, "unknown": None}.get(word, "bad")
+            flag = {w: f for f, w in _FLAG_WORDS.items()}.get(word, "bad")
             if flag == "bad":
                 raise ValueError(f"convergent must be yes|no|unknown, got {word!r}")
         return CustomTail(flag)
@@ -974,8 +1063,7 @@ def _parse_tail(text: str) -> TailModel:
 
 def _format_tail(t: TailModel) -> str:
     if isinstance(t, CustomTail):
-        flag = {True: "yes", False: "no", None: "unknown"}[t.convergent]
-        return f"custom convergent={flag}"
+        return t.describe()
     return f"C={t.coeff!r} p={t.power!r} rho={t.ratio!r}"
 
 

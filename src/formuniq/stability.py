@@ -25,12 +25,14 @@ from .families import Family, SeqSpec, Truncation
 from .graph import WeightedGraph, component_labels, induced_subgraph
 from .harmonic import truncated_dirichlet_solve
 from .series import (
-    PowerGeomTail,
     SeriesKind,
     Verdict,
     VerdictState,
     series_verdict,
+    state_and,
     tail_add,
+    tail_bounded,
+    tail_bounded_below,
     tail_converges,
     tail_mul,
     tail_reciprocal,
@@ -175,28 +177,6 @@ def boundary_degree_bounded(
     )
 
 
-def _class_bounded(t) -> bool | None:
-    """Is C (r+1)^p rho^r bounded above as r -> inf?"""
-    if not isinstance(t, PowerGeomTail):
-        return None
-    if t.is_zero:
-        return True
-    if t.ratio != 1:
-        return t.ratio < 1
-    return t.power <= 0
-
-
-def _class_bounded_below(t) -> bool | None:
-    """Is the positive sequence C (r+1)^p rho^r bounded away from 0?"""
-    if not isinstance(t, PowerGeomTail):
-        return None
-    if t.is_zero:
-        return False
-    if t.ratio != 1:
-        return t.ratio > 1
-    return t.power >= 0
-
-
 def _crossing_degree_classes(family: Family) -> list[tuple[str, object]] | None:
     """Closed-form Deg_b sequences for the canonical decomposition."""
     p = family.params
@@ -249,7 +229,7 @@ def family_boundary_degree(
         if rep.max_value > worst[0]:
             worst = (rep.max_value, rep.argmax)
     if classes is not None:
-        verdicts = [_class_bounded(t) for _, t in classes]
+        verdicts = [tail_bounded(t) for _, t in classes]
         if all(v is True for v in verdicts):
             detail = (
                 "X1 is finite: finitely many crossing edges"
@@ -290,14 +270,6 @@ def _family_x1(trunc: Truncation, role: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _combine_and(a: VerdictState, b: VerdictState) -> VerdictState:
-    if VerdictState.FAILS in (a, b):
-        return VerdictState.FAILS
-    if VerdictState.INCONCLUSIVE in (a, b):
-        return VerdictState.INCONCLUSIVE
-    return VerdictState.HOLDS
-
-
 def stability_verdict(
     dec: Decomposition | BoundaryDegreeReport,
     verdict1: Verdict,
@@ -327,7 +299,7 @@ def stability_verdict(
             f"hypothesis unmet: {why}",
             kind="form_uniqueness",
         )
-    state = _combine_and(verdict1.state, verdict2.state)
+    state = state_and(verdict1.state, verdict2.state)
     reason = (
         f"crossing degree bounded (max {boundary.max_value:.6g}); "
         f"pieces: {verdict1.state.value} / {verdict2.state.value}"
@@ -370,7 +342,7 @@ def _x1_form_unique(family: Family, x1_verdict: Verdict | None) -> tuple[bool | 
         return True, "X1 = {origin} is finite"
     if family.x1_profile is not None:
         m_tail = family.x1_profile.measure_tail
-        if _class_bounded_below(m_tail):
+        if tail_bounded_below(m_tail):
             return True, "measure bounded below on X1"
         return None, (
             "no sufficient condition applies (X1 infinite, measure not "
@@ -404,19 +376,10 @@ def symmetric_ends_verdict(
     boundary = family_boundary_degree(family)
 
     ends = []
-    some_fails = False
-    any_undecided = False
     for p in family.end_profiles:
         tm = series_verdict(p, SeriesKind.TOTAL_MASS)
         res = series_verdict(p, SeriesKind.RESISTANCE)
-        if tm.state is VerdictState.HOLDS and res.state is VerdictState.HOLDS:
-            fails = True
-            some_fails = True
-        elif tm.state is VerdictState.INCONCLUSIVE or res.state is VerdictState.INCONCLUSIVE:
-            fails = None
-            any_undecided = True
-        else:
-            fails = False
+        fails = state_and(tm.state, res.state).truth
         cap = (
             profile_boundary_capacity(p, capacity_depths, name=p.name)
             if capacity_depths
@@ -440,14 +403,14 @@ def symmetric_ends_verdict(
             VerdictState.INCONCLUSIVE, label,
             "hypothesis unmet: " + "; ".join(missing), kind="form_uniqueness",
         )
-    elif some_fails:
+    elif any(e.fails for e in ends):
         culprit = next(e.name for e in ends if e.fails)
         verdict = Verdict(
             VerdictState.FAILS, label,
             f"end {culprit} has finite total mass and summable resistance",
             kind="form_uniqueness",
         )
-    elif any_undecided:
+    elif any(e.fails is None for e in ends):
         verdict = Verdict(
             VerdictState.INCONCLUSIVE, label,
             "some end's series verdicts are undecided", kind="form_uniqueness",
@@ -539,7 +502,7 @@ def _check_hypotheses(family: Family) -> list[str]:
         checks = _chain_not_form_unique(p["chain_b"], p["chain_m"], "chain")
         checks.append(
             _require(
-                _class_bounded_below(p["pendant_m"].tail_class()),
+                tail_bounded_below(p["pendant_m"].tail_class()),
                 "inf_k pendant_m > 0",
             )
         )
@@ -553,10 +516,10 @@ def _check_hypotheses(family: Family) -> list[str]:
     if family.kind == "ladder":
         checks = _chain_not_form_unique(p["x_b"], p["x_m"], "x rail")
         checks.append(
-            _require(_class_bounded_below(p["y_m"].tail_class()), "inf_k y_m > 0")
+            _require(tail_bounded_below(p["y_m"].tail_class()), "inf_k y_m > 0")
         )
         checks.append(
-            _require(_class_bounded_below(p["z_m"].tail_class()), "inf_k z_m > 0")
+            _require(tail_bounded_below(p["z_m"].tail_class()), "inf_k z_m > 0")
         )
         checks.append(
             _require(
@@ -661,7 +624,8 @@ def analyze_instability_example(
             and bool(np.all(u[attached[ks]] < u[chain[ks]]))
         )
 
-        edge_e = weight.values(window + 1)[ks] * (u[chain[ks]] - u[attached[ks]]) ** 2
+        weights = np.array([weight.value(k) for k in ks], dtype=float)
+        edge_e = weights * (u[chain[ks]] - u[attached[ks]]) ** 2
         witness = float(edge_e.sum())
         min_inc = float(edge_e.min()) if len(edge_e) else 0.0
         rows.append(InstabilityRow(depth, window, onset, pattern, witness, min_inc))

@@ -199,6 +199,33 @@ def test_harmonic_json(capsys):
     assert payload["membership"]["l2"]["state"] == "fails"
 
 
+def test_harmonic_stops_at_float_overflow(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "harmonic", "--family", "binary_tree", "--depth", "2000")
+    assert code == INCONCLUSIVE
+    assert err == ""
+    lines = out.strip().splitlines()
+    note = next(i for i, line in enumerate(lines) if line.startswith("# note:"))
+    rows = lines[1:note]
+    assert lines[note] == f"# note: u leaves the float range at r={len(rows)}"
+    assert 0 < len(rows) < 2000
+    assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
+    assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[1:])
+    assert all(line.startswith("# ") for line in lines[note:])
+
+    code, out, _ = run(
+        capsys, "harmonic", "--family", "binary_tree", "--depth", "2000", "--json"
+    )
+    assert code == INCONCLUSIVE
+    payload = json.loads(out)
+    assert payload["note"] == f"u leaves the float range at r={len(rows)}"
+    assert len(payload["values"]) == len(rows)
+    for verdict in payload["membership"].values():
+        assert all(isinstance(s, float) and math.isfinite(s) for s in verdict["partial_sums"])
+        assert max(verdict["sample_depths"]) < len(rows)
+
+
 def test_harmonic_rejects_asymmetric_family(capsys):
     code, _, err = run(capsys, "harmonic", "--family", "pendant_boundary")
     assert code == INPUT_ERROR

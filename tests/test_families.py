@@ -18,15 +18,14 @@ from formuniq.families import (
     birth_death,
     const,
     double_ladder,
-    format_seq,
     geometric,
     linear,
-    parse_seq,
     pendant_chain,
     power_seq,
     star_chain,
     wss_tree,
 )
+from formuniq.series import parse_seq
 from formuniq.symmetry import sphere_decomposition
 
 
@@ -39,7 +38,7 @@ def test_seqspec_closed_form():
     s = SeqSpec(coeff=3.0, power=2.0, ratio=0.5)
     for r in range(10):
         assert s.value(r) == pytest.approx(3.0 * (r + 1) ** 2 * 0.5**r)
-    np.testing.assert_allclose(s.values(6), [s.value(r) for r in range(6)])
+    assert s.values(np.arange(6)).tolist() == [s.value(r) for r in range(6)]
 
 
 def test_seqspec_overrides_and_tail_start():
@@ -50,13 +49,17 @@ def test_seqspec_overrides_and_tail_start():
     assert s.tail_start == 4
     assert SeqSpec().tail_start == 0
     t = s.tail_class()
-    assert (t.coeff, t.power, t.ratio) == (2.0, 0.0, 1.0)
+    assert (t.coeff, t.power, t.ratio, t.overrides) == (2.0, 0.0, 1.0, ())
+    assert t.tail_class() is t
+    assert s.values(np.arange(5)).tolist() == [7.0, 2.0, 2.0, 0.0, 2.0]
 
 
 def test_seqspec_is_zero():
     assert const(0.0).is_zero
     assert not const(1.0).is_zero
     assert not SeqSpec(coeff=0.0, overrides=((2, 1.0),)).is_zero
+    assert SeqSpec(coeff=0.0, overrides=((2, 1.0),)).tail_class().is_zero
+    assert SeqSpec(coeff=0.0, overrides=((2, 0.0),)).is_zero
 
 
 def test_seqspec_validation():
@@ -66,13 +69,6 @@ def test_seqspec_validation():
         SeqSpec(ratio=0.0)
     with pytest.raises(ValueError, match="override index"):
         SeqSpec(overrides=((-1, 2.0),))
-
-
-def test_seqspec_describe():
-    assert geometric(2.0).describe() == "2^r"
-    assert linear().describe() == "(r+1)^1"
-    assert const(5.0).describe() == "5"
-    assert "a(0)=9" in SeqSpec(overrides=((0, 9.0),)).describe()
 
 
 def test_helpers_agree_with_closed_forms():
@@ -91,21 +87,11 @@ def test_parse_seq_defaults():
     assert parse_seq("2,1,0.5") == SeqSpec(coeff=2.0, power=1.0, ratio=0.5)
 
 
-def test_parse_format_round_trip():
-    for s in [const(1.0), linear(0.25), geometric(1.5, coeff=3.0), power_seq(-2)]:
-        assert parse_seq(format_seq(s)) == s
-
-
 def test_parse_seq_rejects_garbage():
     with pytest.raises(ValueError, match="bad sequence descriptor"):
         parse_seq("two")
     with pytest.raises(ValueError, match="C\\[,p\\[,rho\\]\\]"):
         parse_seq("1,2,3,4")
-
-
-def test_format_seq_rejects_overrides():
-    with pytest.raises(ValueError, match="overrides"):
-        format_seq(SeqSpec(overrides=((0, 2.0),)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +210,9 @@ def test_anti_tree_sphere_measure():
 def test_sequence_overflow_is_reported():
     with pytest.raises(StructuralError, match="overflow"):
         birth_death(geometric(10.0), 1.0)
+    # a zero sequence stays zero where its closed form would overflow
+    fam = birth_death(1.0, 1.0, SeqSpec(0.0, 0.0, 1e10))
+    assert fam.profile.killing_is_zero
 
 
 def test_sequence_underflow_is_reported():

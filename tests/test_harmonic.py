@@ -1,5 +1,7 @@
 """The radial recurrence, truncated free-boundary solves, and membership."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,16 @@ def test_recurrence_stops_at_custom_tail():
     solve_symmetric_harmonic(p, 1.0, 1.0, 4)  # prefix suffices
     with pytest.raises(StructuralError, match="cannot solve"):
         solve_symmetric_harmonic(p, 1.0, 1.0, 5)
+
+
+def test_recurrence_past_the_float_range_returns_every_radius():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_symmetric_harmonic(gallery("binary_tree").profile, 1.0, 1.0, 2000)
+    assert len(sol.values) == 2001
+    assert 100 < sol.finite_rows < 2001
+    assert np.isfinite(sol.partial_l2[: sol.finite_rows]).all()
+    assert not np.isfinite(sol.partial_l2[sol.finite_rows])
 
 
 @pytest.mark.parametrize("name", ["unit_chain", "geometric_chain", "square_chain"])

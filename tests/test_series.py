@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import formuniq
 from formuniq import series
 from formuniq.errors import GraphFormatError, PreconditionError, StructuralError
 from formuniq.families import (
@@ -32,17 +33,24 @@ from formuniq.series import (
     SeriesKind,
     Verdict,
     VerdictState,
+    ZERO_TAIL,
     bundle_consistency,
     load_profile,
     parse_profile_text,
+    parse_seq,
     format_profile_text,
     quotient_graph,
     series_terms,
     series_verdict,
+    state_and,
+    state_not,
     tail_add,
+    tail_bounded,
+    tail_bounded_below,
     tail_complement_class,
     tail_converges,
     tail_cumsum_class,
+    tail_max,
     tail_mul,
     tail_reciprocal,
     tail_shift,
@@ -81,6 +89,112 @@ def test_tail_validation():
     with pytest.raises(ValueError):
         PowerGeomTail(1.0, 0.0, 0.0)
     assert PowerGeomTail(0.0, 5.0, 2.0).is_zero
+
+
+# -- the closed-form sequence type ------------------------------------------
+
+
+def test_seqspec_is_the_tail_type():
+    assert formuniq.SeqSpec is formuniq.PowerGeomTail
+    assert SeqSpec(2.0, 1.0, 0.5) == PowerGeomTail(2.0, 1.0, 0.5)
+
+
+def test_value_is_inf_past_the_float_range():
+    assert PowerGeomTail(1, 0, 2).value(2000) == math.inf
+    assert PowerGeomTail(1, 0, 2).values(np.array([2000])).tolist() == [math.inf]
+    assert PowerGeomTail(0, 0, 2).value(2000) == 0.0
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("geom:1.5", PowerGeomTail(1.0, 0.0, 1.5)),
+        ("power:-3", PowerGeomTail(1.0, -3.0, 1.0)),
+        ("linear", PowerGeomTail(1.0, 1.0, 1.0)),
+        ("square", PowerGeomTail(1.0, 2.0, 1.0)),
+        ("unit", PowerGeomTail(1.0, 0.0, 1.0)),
+        (" unit ", PowerGeomTail(1.0, 0.0, 1.0)),
+    ],
+)
+def test_parse_seq_shorthands(text, expected):
+    assert parse_seq(text) == expected
+
+
+@pytest.mark.parametrize("text", ["two", "geom:x", "power:", "linear,2", "1,2,3,4"])
+def test_parse_seq_errors_name_the_accepted_forms(text):
+    with pytest.raises(ValueError, match="'geom:RATIO', 'power:P', 'linear', 'square' or 'unit'"):
+        parse_seq(text)
+
+
+# -- tri-state logic ---------------------------------------------------------
+
+H, F, I = VerdictState.HOLDS, VerdictState.FAILS, VerdictState.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "a,b,expected",
+    [
+        (H, H, H), (H, F, F), (H, I, I),
+        (F, H, F), (F, F, F), (F, I, F),
+        (I, H, I), (I, F, F), (I, I, I),
+    ],
+)
+def test_state_and_truth_table(a, b, expected):
+    assert state_and(a, b) is expected
+
+
+@pytest.mark.parametrize("a,expected", [(H, F), (F, H), (I, I)])
+def test_state_not_truth_table(a, expected):
+    assert state_not(a) is expected
+    assert a.truth is {H: True, F: False, I: None}[a]
+
+
+# -- boundedness and pointwise max of tail classes ---------------------------
+
+TWO = PowerGeomTail(2.0)
+
+
+@pytest.mark.parametrize(
+    "coeff,ratio,power,bounded,bounded_below,max_with_two",
+    [
+        # the zero sequence, whatever its power and ratio
+        (0.0, 0.5, -1.0, True, False, TWO),
+        (0.0, 0.5, 0.0, True, False, TWO),
+        (0.0, 0.5, 1.0, True, False, TWO),
+        (0.0, 1.0, -1.0, True, False, TWO),
+        (0.0, 1.0, 0.0, True, False, TWO),
+        (0.0, 1.0, 1.0, True, False, TWO),
+        (0.0, 2.0, -1.0, True, False, TWO),
+        (0.0, 2.0, 0.0, True, False, TWO),
+        (0.0, 2.0, 1.0, True, False, TWO),
+        # ratio < 1 decays, ratio > 1 grows, whatever the power
+        (3.0, 0.5, -1.0, True, False, TWO),
+        (3.0, 0.5, 0.0, True, False, TWO),
+        (3.0, 0.5, 1.0, True, False, TWO),
+        (3.0, 2.0, -1.0, False, True, PowerGeomTail(3.0, -1.0, 2.0)),
+        (3.0, 2.0, 0.0, False, True, PowerGeomTail(3.0, 0.0, 2.0)),
+        (3.0, 2.0, 1.0, False, True, PowerGeomTail(3.0, 1.0, 2.0)),
+        # ratio == 1: the power decides; at power 0 the larger coefficient
+        (3.0, 1.0, -1.0, True, False, TWO),
+        (3.0, 1.0, 0.0, True, True, PowerGeomTail(3.0)),
+        (1.0, 1.0, 0.0, True, True, TWO),
+        (3.0, 1.0, 1.0, False, True, PowerGeomTail(3.0, 1.0, 1.0)),
+    ],
+)
+def test_tail_class_bounds_and_max(coeff, ratio, power, bounded, bounded_below, max_with_two):
+    t = PowerGeomTail(coeff, power, ratio)
+    assert tail_bounded(t) is bounded
+    assert tail_bounded_below(t) is bounded_below
+    assert tail_max(t, TWO) == max_with_two
+    assert tail_max(TWO, t) == max_with_two
+
+
+def test_tail_class_predicates_on_unknown_tails():
+    for t in (None, CustomTail(True)):
+        assert tail_bounded(t) is None
+        assert tail_bounded_below(t) is None
+    assert tail_max(None, TWO) is None
+    assert tail_max(ZERO_TAIL, ZERO_TAIL) == ZERO_TAIL
 
 
 @pytest.mark.parametrize(

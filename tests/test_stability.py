@@ -1,5 +1,7 @@
 """Decomposition, crossing-degree bounds, and gluing (in)stability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from formuniq import (
     symmetric_ends_verdict,
 )
 from formuniq.families import bilateral_chain, geometric, pendant_chain
+from formuniq.series import CustomTail
 from formuniq.stability import (
     EDGE_CROSS,
     EDGE_X1,
@@ -264,6 +267,21 @@ def test_ends_verdict_uses_caller_x1_verdict():
     rep = symmetric_ends_verdict(fam, x1_verdict=verdict(VerdictState.FAILS))
     assert rep.verdict.state is VerdictState.INCONCLUSIVE
     assert "X1 piece" in rep.verdict.reason
+
+
+def test_end_with_infinite_mass_is_form_unique_whatever_its_resistance():
+    # Kleene conjunction: a FAILS total-mass verdict decides the end even
+    # when the resistance verdict is inconclusive
+    fam = bilateral_chain(1.0, 1.0, 1.0, 1.0)
+    neg = fam.end_profiles[1]
+    undecided = dataclasses.replace(neg, boundary_tail=CustomTail(None), name="neg")
+    fam = dataclasses.replace(fam, end_profiles=(fam.end_profiles[0], undecided))
+    rep = symmetric_ends_verdict(fam)
+    end = rep.ends[1]
+    assert end.total_mass.state is VerdictState.FAILS
+    assert end.resistance.state is VerdictState.INCONCLUSIVE
+    assert end.fails is False
+    assert rep.verdict.state is VerdictState.HOLDS
 
 
 def test_ends_verdict_requires_end_profiles():
