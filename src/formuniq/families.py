@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -94,6 +95,20 @@ def _integral(vals: np.ndarray, label: str) -> np.ndarray:
     if np.any(vals < 1) or not np.array_equal(vals, np.round(vals)):
         raise PreconditionError(f"{label} values must be integers >= 1")
     return vals
+
+
+def _check_prefix(depth: int, top: int) -> None:
+    if depth > top:
+        raise StructuralError(
+            f"truncation depth {depth} exceeds the {top} radii the family's "
+            "prefix covers; use a longer prefix_len"
+        )
+
+
+def _sphere_roles(sizes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Roles ``"sphere:r"`` and layers for vertex ids numbered sphere by sphere."""
+    roles = tuple(chain.from_iterable([f"sphere:{r}"] * int(s) for r, s in enumerate(sizes)))
+    return roles, np.repeat(np.arange(len(sizes)), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +257,17 @@ def wss_tree(
     def build(depth: int) -> Truncation:
         if depth < 1:
             raise PreconditionError("truncation depth must be >= 1")
-        sizes = [int(profile.sphere_count(r)) for r in range(depth + 1)]
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        n = int(starts[-1])
-        edges = []
-        for r in range(depth):
-            kk = int(kv[r])
-            for i in range(sizes[r]):
-                parent = starts[r] + i
-                for j in range(kk):
-                    edges.append((parent, starts[r + 1] + i * kk + j, 1.0))
+        _check_prefix(depth, len(kv))
+        fanout = kv[:depth].astype(np.int64)
+        sizes = np.concatenate(([1], np.cumprod(fanout)))
+        n = int(sizes.sum())
+        # vertex ids run sphere by sphere, so the children of the parents
+        # in id order are the vertices 1, 2, ..., n-1 in id order
+        parent = np.repeat(np.arange(n - sizes[-1]), np.repeat(fanout, sizes[:-1]))
+        edges = np.column_stack((parent, np.arange(1, n), np.ones(n - 1)))
         g = WeightedGraph(n, edges, measure=np.ones(n))
-        roles, layer = [], np.empty(n, dtype=int)
-        for r in range(depth + 1):
-            for i in range(sizes[r]):
-                roles.append(f"sphere:{r}")
-                layer[starts[r] + i] = r
-        return Truncation(g, 0, depth, tuple(roles), layer)
+        roles, layer = _sphere_roles(sizes)
+        return Truncation(g, 0, depth, roles, layer)
 
     return Family(
         name=name, kind="tree", build=build, profile=profile, params={"k": k}
@@ -299,24 +308,21 @@ def anti_tree(
     def build(depth: int) -> Truncation:
         if depth < 1:
             raise PreconditionError("truncation depth must be >= 1")
-        sizes = [int(sv[r]) for r in range(depth + 1)]
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        _check_prefix(depth, len(mvv) - 1)
+        sizes = sv[: depth + 1].astype(np.int64)
+        starts = np.concatenate([[0], np.cumsum(sizes)])
         n = int(starts[-1])
-        edges = [
-            (starts[r] + i, starts[r + 1] + j, 1.0)
-            for r in range(depth)
-            for i in range(sizes[r])
-            for j in range(sizes[r + 1])
-        ]
-        measure = np.concatenate([np.full(sizes[r], mvv[r]) for r in range(depth + 1)])
-        g = WeightedGraph(n, edges, measure=measure)
-        roles, layer = [], np.empty(n, dtype=int)
-        for r in range(depth + 1):
-            for _ in range(sizes[r]):
-                roles.append(f"sphere:{r}")
-        for r in range(depth + 1):
-            layer[starts[r] : starts[r + 1]] = r
-        return Truncation(g, 0, depth, tuple(roles), layer)
+        # every vertex of sphere r joins every vertex of sphere r+1
+        u = np.concatenate(
+            [np.repeat(np.arange(starts[r], starts[r + 1]), sizes[r + 1]) for r in range(depth)]
+        )
+        v = np.concatenate(
+            [np.tile(np.arange(starts[r + 1], starts[r + 2]), sizes[r]) for r in range(depth)]
+        )
+        edges = np.column_stack((u, v, np.ones(len(u))))
+        g = WeightedGraph(n, edges, measure=np.repeat(mvv[: depth + 1], sizes))
+        roles, layer = _sphere_roles(sizes)
+        return Truncation(g, 0, depth, roles, layer)
 
     return Family(
         name=name,

@@ -32,24 +32,87 @@ from .errors import GraphFormatError, StructuralError
 SYMMETRY_TOL = 1e-9
 
 
-def _symmetric_close(a: float, b: float) -> bool:
-    return abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b))
+def _vertex_text(t: float) -> str:
+    """A vertex id as ``int()`` reads it (non-finite ids as they are)."""
+    return str(int(t)) if np.isfinite(t) else str(float(t))
+
+
+def _canonical_edges(
+    n: int, edges: Iterable[tuple[int, int, float]] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated edge arrays ``(u, v, w)`` with ``u < v``, sorted by
+    ``(u, v)``, one entry per vertex pair.
+
+    Vertex ids are truncated toward zero, as ``int()`` does.  A pair
+    listed twice keeps its first weight; a later weight must agree with
+    it within :data:`SYMMETRY_TOL`.  The error names the first offending
+    edge in input order.
+    """
+    if not hasattr(edges, "__len__"):
+        edges = list(edges)
+    e = np.asarray(edges, dtype=float)
+    if e.size == 0:
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError(f"edges must be (u, v, weight) triples, got shape {e.shape}")
+    x, y, w = e[:, 0], e[:, 1], e[:, 2]
+    # int(t) lies in [0, n) exactly when -1 < t < n (false for nan)
+    known = (np.minimum(x, y) > -1) & (np.maximum(x, y) < n)
+    xi, yi = np.where(known, e[:, :2].T, 0).astype(np.int64)
+    bad = ~known | (xi == yi) | ~(w > 0)
+    stop = int(np.argmax(bad)) if bad.any() else len(w)
+
+    lo = np.minimum(xi[:stop], yi[:stop])
+    hi = np.maximum(xi[:stop], yi[:stop])
+    # one stable sort on the pair key (n*n fits int64 for any n held
+    # in memory): repeats keep their input order
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    lo, hi, ws = lo[order], hi[order], w[:stop][order]
+    first = np.ones(len(ws), dtype=bool)
+    first[1:] = np.diff(key[order]) != 0
+    repeat = np.flatnonzero(~first)
+    if len(repeat):
+        # each repeat against the first weight listed for its pair
+        seen, again = ws[first][np.cumsum(first)[repeat] - 1], ws[repeat]
+        with np.errstate(invalid="ignore"):  # inf vs inf conflicts, as for floats
+            close = np.abs(seen - again) <= SYMMETRY_TOL * np.maximum(
+                1.0, np.maximum(np.abs(seen), np.abs(again))
+            )
+        clash = np.flatnonzero(~close)
+        if len(clash):
+            i = clash[np.argmin(order[repeat[clash]])]
+            pair = (int(lo[repeat[i]]), int(hi[repeat[i]]))
+            raise ValueError(
+                f"conflicting weights for edge {pair}: {float(seen[i])} vs {float(again[i])}"
+            )
+    if stop < len(w):
+        pair = f"({_vertex_text(x[stop])},{_vertex_text(y[stop])})"
+        if not known[stop]:
+            raise ValueError(f"edge {pair} references an unknown vertex")
+        if xi[stop] == yi[stop]:
+            raise ValueError(f"loop at vertex {int(xi[stop])} is not allowed")
+        raise ValueError(f"edge {pair} has non-positive weight {float(w[stop])}")
+    return lo[first], hi[first], ws[first]
 
 
 class WeightedGraph:
     """Immutable weighted graph ``(b, c)`` over ``(X, m)``.
 
-    Edges are canonicalised to ``(min, max)`` vertex order at
-    construction; supplying both orientations is allowed as long as the
-    two weights agree (within :data:`SYMMETRY_TOL`).  Zero-weight edges
-    are rejected rather than silently dropped: absence of an edge is
-    expressed by not listing it.
+    ``edges`` holds ``(u, v, b)`` triples in any form that
+    ``np.asarray(edges, dtype=float)`` turns into shape ``(E, 3)``: a
+    list or an iterator of tuples, or an ``(E, 3)`` array built
+    directly (the family builders pass arrays).  Edges are canonicalised
+    to ``(min, max)`` vertex order at construction; supplying both
+    orientations is allowed as long as the two weights agree (within
+    :data:`SYMMETRY_TOL`).  Zero-weight edges are rejected rather than
+    silently dropped: absence of an edge is expressed by not listing it.
     """
 
     def __init__(
         self,
         vertex_count: int,
-        edges: Iterable[tuple[int, int, float]],
+        edges: Iterable[tuple[int, int, float]] | np.ndarray,
         measure: Sequence[float],
         killing: Sequence[float] | None = None,
     ) -> None:
@@ -70,37 +133,20 @@ class WeightedGraph:
             if not np.all(c >= 0):
                 raise ValueError("killing term must be nonnegative")
 
-        weights: dict[tuple[int, int], float] = {}
-        for x, y, b in edges:
-            x, y = int(x), int(y)
-            if not (0 <= x < n and 0 <= y < n):
-                raise ValueError(f"edge ({x},{y}) references an unknown vertex")
-            if x == y:
-                raise ValueError(f"loop at vertex {x} is not allowed")
-            b = float(b)
-            if not b > 0:
-                raise ValueError(f"edge ({x},{y}) has non-positive weight {b}")
-            key = (min(x, y), max(x, y))
-            if key in weights:
-                if not _symmetric_close(weights[key], b):
-                    raise ValueError(
-                        f"conflicting weights for edge {key}: {weights[key]} vs {b}"
-                    )
-            else:
-                weights[key] = b
-
-        keys = sorted(weights)
         self.vertex_count = n
         self.measure = m
         self.killing = c
-        self.edge_u = np.array([k[0] for k in keys], dtype=np.int64)
-        self.edge_v = np.array([k[1] for k in keys], dtype=np.int64)
-        self.edge_w = np.array([weights[k] for k in keys], dtype=float)
+        self.edge_u, self.edge_v, self.edge_w = _canonical_edges(n, edges)
 
-        rows = np.concatenate([self.edge_u, self.edge_v])
-        cols = np.concatenate([self.edge_v, self.edge_u])
+        # row x lists its neighbours by id: the edges (y, x), y < x, in
+        # edge order, then the edges (x, y), y > x, in edge order
+        rows = np.concatenate([self.edge_v, self.edge_u])
+        cols = np.concatenate([self.edge_u, self.edge_v])
         vals = np.concatenate([self.edge_w, self.edge_w])
-        self.adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        self.adjacency = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
         for arr in (self.measure, self.killing, self.edge_u, self.edge_v, self.edge_w):
             arr.flags.writeable = False
@@ -223,8 +269,8 @@ def induced_subgraph(
     new_id = -np.ones(g.vertex_count, dtype=np.int64)
     new_id[keep] = np.arange(len(keep))
     mask = (new_id[g.edge_u] >= 0) & (new_id[g.edge_v] >= 0)
-    edges = zip(
-        new_id[g.edge_u[mask]], new_id[g.edge_v[mask]], g.edge_w[mask]
+    edges = np.column_stack(
+        (new_id[g.edge_u[mask]], new_id[g.edge_v[mask]], g.edge_w[mask])
     )
     sub = WeightedGraph(len(keep), edges, g.measure[keep], g.killing[keep])
     return sub, keep
@@ -287,12 +333,15 @@ def parse_graph_text(text: str) -> WeightedGraph:
 
 
 def format_graph_text(g: WeightedGraph) -> str:
+    # tolist() hands out Python ints and floats, whose str and repr are
+    # those of the numpy scalars, without a conversion per field
     lines = [
-        f"V {i} {float(g.measure[i])!r} {float(g.killing[i])!r}"
-        for i in range(g.vertex_count)
+        f"V {i} {m!r} {c!r}"
+        for i, (m, c) in enumerate(zip(g.measure.tolist(), g.killing.tolist()))
     ]
     lines += [
-        f"E {u} {v} {float(w)!r}" for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)
+        f"E {u} {v} {w!r}"
+        for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())
     ]
     return "\n".join(lines) + "\n"
 
@@ -313,10 +362,9 @@ def require_connected_to(g: WeightedGraph, roots: Sequence[int]) -> None:
     """Raise :class:`StructuralError` listing vertices unreachable from
     ``roots``."""
     _, labels = component_labels(g)
-    root_labels = {labels[r] for r in roots}
-    unreachable = [v for v in range(g.vertex_count) if labels[v] not in root_labels]
-    if unreachable:
-        shown = ", ".join(map(str, unreachable[:10]))
+    unreachable = np.flatnonzero(~np.isin(labels, labels[list(roots)]))
+    if len(unreachable):
+        shown = ", ".join(map(str, unreachable[:10].tolist()))
         more = "" if len(unreachable) <= 10 else f" (+{len(unreachable) - 10} more)"
         raise StructuralError(
             f"{len(unreachable)} vertices unreachable from the root set: {shown}{more}"

@@ -77,7 +77,8 @@ class PowerGeomTail:
 
     def __post_init__(self) -> None:
         for attr in ("coeff", "power", "ratio"):
-            object.__setattr__(self, attr, float(getattr(self, attr)))
+            # + 0.0 turns -0.0 into 0.0, so no description prints "-0"
+            object.__setattr__(self, attr, float(getattr(self, attr)) + 0.0)
         if self.coeff < 0:
             raise ValueError("sequence coefficient must be nonnegative")
         if self.ratio <= 0:

@@ -88,20 +88,24 @@ def decompose(g: WeightedGraph, x1: Sequence[int]) -> Decomposition:
     v_in = in_x1[g.edge_v]
     region = np.where(u_in & v_in, EDGE_X1, np.where(~u_in & ~v_in, EDGE_X2, EDGE_CROSS))
 
-    deg = np.zeros(g.vertex_count)
     cross = region == EDGE_CROSS
-    np.add.at(deg, g.edge_u[cross], g.edge_w[cross])
-    np.add.at(deg, g.edge_v[cross], g.edge_w[cross])
-    deg /= g.measure
+    w = g.edge_w[cross]
+    deg = np.bincount(
+        np.concatenate((g.edge_u[cross], g.edge_v[cross])),
+        weights=np.concatenate((w, w)),
+        minlength=g.vertex_count,
+    ) / g.measure
 
     x2 = np.nonzero(~in_x1)[0]
-    ends: list[tuple[int, ...]] = []
+    ends: tuple[tuple[int, ...], ...] = ()
     if len(x2):
         sub, keep = induced_subgraph(g, x2)
         count, labels = component_labels(sub)
-        for comp in range(count):
-            ends.append(tuple(int(keep[i]) for i in np.nonzero(labels == comp)[0]))
-    return Decomposition(g, ids, x2, region, deg, tuple(ends))
+        # one stable sort lists each component's vertices in id order
+        members = keep[np.argsort(labels, kind="stable")].tolist()
+        bounds = np.cumsum(np.bincount(labels, minlength=count)).tolist()
+        ends = tuple(tuple(members[a:b]) for a, b in zip([0] + bounds, bounds))
+    return Decomposition(g, ids, x2, region, deg, ends)
 
 
 @dataclass(frozen=True)

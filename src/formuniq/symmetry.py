@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import StructuralError
 from .graph import (
@@ -62,6 +63,26 @@ class SphereDecomposition:
         return self.spheres[r]
 
 
+def _ordered_sums(keys: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """``np.sum`` of each key's values, in input order, for keys ``0..length-1``.
+
+    ``np.bincount`` adds left to right; ``np.sum`` does so for fewer
+    than eight terms and sums longer runs pairwise.  The two agree on
+    nonnegative integer terms with a total below 2**53, so only the
+    other groups of eight or more terms are summed again by ``np.sum``.
+    """
+    sums = np.bincount(keys, weights=values, minlength=length)
+    counts = np.bincount(keys, minlength=length)
+    inexact = np.bincount(keys[values != np.floor(values)], minlength=length) > 0
+    redo = np.flatnonzero((counts >= 8) & (inexact | (sums >= 2.0**53)))
+    if len(redo):
+        grouped = values[np.argsort(keys, kind="stable")]
+        ends = np.cumsum(counts)
+        for k in redo:
+            sums[k] = grouped[ends[k] - counts[k] : ends[k]].sum()
+    return sums
+
+
 def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecomposition:
     """Compute distance spheres about ``root`` and the associated data.
 
@@ -74,51 +95,39 @@ def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecompo
     for r in roots:
         if not 0 <= r < g.vertex_count:
             raise ValueError(f"root vertex {r} out of range")
-    require_connected_to(g, roots)
 
     n = g.vertex_count
-    radius = np.full(n, -1, dtype=np.int64)
-    radius[roots] = 0
-    frontier = list(roots)
-    depth = 0
-    spheres = [np.array(roots, dtype=np.int64)]
-    indptr, indices = g.adjacency.indptr, g.adjacency.indices
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in indices[indptr[x] : indptr[x + 1]]:
-                if radius[y] < 0:
-                    radius[y] = depth + 1
-                    nxt.append(y)
-        if nxt:
-            nxt.sort()
-            spheres.append(np.array(nxt, dtype=np.int64))
-        frontier = nxt
-        depth += 1
+    dist = dijkstra(g.adjacency, unweighted=True, min_only=True, indices=roots)
+    if np.isinf(dist).any():
+        require_connected_to(g, roots)
+    radius = dist.astype(np.int64)
+    sizes = np.bincount(radius)
+    order = np.argsort(radius, kind="stable")
+    bounds = np.cumsum(sizes).tolist()
+    spheres = tuple(order[a:b] for a, b in zip([0] + bounds, bounds))
 
-    nr = len(spheres)
-    data = g.adjacency.data
-    kplus = np.zeros(n)
-    kminus = np.zeros(n)
-    kzero = np.zeros(n)
-    boundary = np.zeros(nr)
-    for x in range(n):
-        rx = radius[x]
-        nbrs = indices[indptr[x] : indptr[x + 1]]
-        ws = data[indptr[x] : indptr[x + 1]]
-        rn = radius[nbrs]
-        out = float(ws[rn == rx + 1].sum())
-        kplus[x] = out / g.measure[x]
-        kminus[x] = float(ws[rn == rx - 1].sum()) / g.measure[x]
-        kzero[x] = float(ws[rn == rx].sum()) / g.measure[x]
-        boundary[rx] += out
+    # each vertex x sums its terms in neighbour-id order: first the edges
+    # (y, x) with y < x, then the edges (x, y) with y > x
+    u, v, w = g.edge_u, g.edge_v, g.edge_w
+    step = radius[v] - radius[u]
+
+    def per_vertex(s: int) -> np.ndarray:
+        below, above = step == -s, step == s
+        keys = np.concatenate((v[below], u[above]))
+        return _ordered_sums(keys, np.concatenate((w[below], w[above])), n)
+
+    out = per_vertex(1)
+    kplus = out / g.measure
+    kminus = per_vertex(-1) / g.measure
+    kzero = per_vertex(0) / g.measure
+    boundary = np.bincount(radius, weights=out)  # left to right, by vertex id
     q = g.killing / g.measure
-    sphere_m = np.array([g.measure[s].sum() for s in spheres])
-    sphere_c = np.array([g.killing[s].sum() for s in spheres])
+    sphere_m = _ordered_sums(radius, g.measure, len(sizes))
+    sphere_c = _ordered_sums(radius, g.killing, len(sizes))
 
     return SphereDecomposition(
         root=tuple(roots),
-        spheres=tuple(spheres),
+        spheres=spheres,
         radius_of=radius,
         kappa_plus=kplus,
         kappa_minus=kminus,

@@ -1,0 +1,387 @@
+"""The array graph layer against the per-edge and per-vertex loops it replaced.
+
+The references below are the earlier implementations, kept verbatim in
+behaviour: the dict loop of the ``WeightedGraph`` constructor, the
+Python BFS with its per-vertex degree split in ``sphere_decomposition``,
+the per-component scan of ``stability.decompose`` and the nested loops
+of the tree and anti-tree builders.  The array versions must give the
+same arrays bit for bit, and the same error messages.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from formuniq.errors import StructuralError
+from formuniq.families import anti_tree, geometric, linear, SeqSpec, wss_tree
+from formuniq.graph import (
+    SYMMETRY_TOL,
+    WeightedGraph,
+    component_labels,
+    induced_subgraph,
+)
+from formuniq.stability import EDGE_CROSS, decompose
+from formuniq.symmetry import sphere_decomposition
+
+# ---------------------------------------------------------------------------
+# references
+# ---------------------------------------------------------------------------
+
+
+def reference_edges(n, edges):
+    """Edge arrays of the per-edge dict loop (raises its ValueErrors)."""
+    weights = {}
+    for x, y, b in edges:
+        x, y = int(x), int(y)
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"edge ({x},{y}) references an unknown vertex")
+        if x == y:
+            raise ValueError(f"loop at vertex {x} is not allowed")
+        b = float(b)
+        if not b > 0:
+            raise ValueError(f"edge ({x},{y}) has non-positive weight {b}")
+        key = (min(x, y), max(x, y))
+        if key in weights:
+            a = weights[key]
+            if not abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
+                raise ValueError(f"conflicting weights for edge {key}: {a} vs {b}")
+        else:
+            weights[key] = b
+    keys = sorted(weights)
+    return (
+        np.array([k[0] for k in keys], dtype=np.int64),
+        np.array([k[1] for k in keys], dtype=np.int64),
+        np.array([weights[k] for k in keys], dtype=float),
+    )
+
+
+def reference_unreachable_message(g, roots):
+    _, labels = component_labels(g)
+    root_labels = {labels[r] for r in roots}
+    unreachable = [v for v in range(g.vertex_count) if labels[v] not in root_labels]
+    if not unreachable:
+        return None
+    shown = ", ".join(map(str, unreachable[:10]))
+    more = "" if len(unreachable) <= 10 else f" (+{len(unreachable) - 10} more)"
+    return f"{len(unreachable)} vertices unreachable from the root set: {shown}{more}"
+
+
+def reference_spheres(g, roots):
+    """BFS spheres and the per-vertex degree split, vertex by vertex."""
+    n = g.vertex_count
+    radius = np.full(n, -1, dtype=np.int64)
+    radius[roots] = 0
+    frontier, depth = list(roots), 0
+    spheres = [np.array(roots, dtype=np.int64)]
+    indptr, indices, data = g.adjacency.indptr, g.adjacency.indices, g.adjacency.data
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in indices[indptr[x] : indptr[x + 1]]:
+                if radius[y] < 0:
+                    radius[y] = depth + 1
+                    nxt.append(y)
+        if nxt:
+            nxt.sort()
+            spheres.append(np.array(nxt, dtype=np.int64))
+        frontier = nxt
+        depth += 1
+    kplus, kminus, kzero = np.zeros(n), np.zeros(n), np.zeros(n)
+    boundary = np.zeros(len(spheres))
+    for x in range(n):
+        rx = radius[x]
+        ws = data[indptr[x] : indptr[x + 1]]
+        rn = radius[indices[indptr[x] : indptr[x + 1]]]
+        out = float(ws[rn == rx + 1].sum())
+        kplus[x] = out / g.measure[x]
+        kminus[x] = float(ws[rn == rx - 1].sum()) / g.measure[x]
+        kzero[x] = float(ws[rn == rx].sum()) / g.measure[x]
+        boundary[rx] += out
+    return {
+        "spheres": spheres,
+        "radius_of": radius,
+        "kappa_plus": kplus,
+        "kappa_minus": kminus,
+        "kappa_zero": kzero,
+        "q": g.killing / g.measure,
+        "boundary": boundary,
+        "sphere_measure": np.array([g.measure[s].sum() for s in spheres]),
+        "sphere_killing": np.array([g.killing[s].sum() for s in spheres]),
+    }
+
+
+def reference_ends(g, x1):
+    in_x1 = np.zeros(g.vertex_count, dtype=bool)
+    in_x1[x1] = True
+    if in_x1.all():
+        return ()
+    sub, keep = induced_subgraph(g, np.nonzero(~in_x1)[0])
+    count, labels = component_labels(sub)
+    return tuple(
+        tuple(int(keep[i]) for i in np.nonzero(labels == comp)[0]) for comp in range(count)
+    )
+
+
+def reference_tree_edges(kv, sizes):
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    edges = []
+    for r in range(len(sizes) - 1):
+        kk = int(kv[r])
+        for i in range(sizes[r]):
+            for j in range(kk):
+                edges.append((starts[r] + i, starts[r + 1] + i * kk + j, 1.0))
+    return edges
+
+
+def reference_anti_tree_edges(sizes):
+    starts = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    return [
+        (starts[r] + i, starts[r + 1] + j, 1.0)
+        for r in range(len(sizes) - 1)
+        for i in range(sizes[r])
+        for j in range(sizes[r + 1])
+    ]
+
+
+def assert_same_edges(g, want):
+    for got, ref in zip((g.edge_u, g.edge_v, g.edge_w), want):
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the constructor
+# ---------------------------------------------------------------------------
+
+WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 2.0, 0.5, 1.0 + 1e-12, 0.0, -1.0, float("nan"), float("inf")]),
+    st.floats(0.01, 100.0),
+)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges over n vertices: both orientations, exact repeats, repeats
+    with another weight, loops, ids out of range and bad weights."""
+    n = draw(st.integers(1, 7))
+    ids = st.one_of(st.integers(0, n - 1), st.integers(-2, n + 1), st.floats(-1.5, n + 0.5))
+    edges = draw(st.lists(st.tuples(ids, ids, WEIGHTS), max_size=14))
+    for pick in draw(st.lists(st.integers(0, 100), max_size=6)):
+        if edges:
+            x, y, w = edges[pick % len(edges)]
+            again = draw(st.sampled_from(["same", "reversed", "other"]))
+            if again == "other":
+                w = draw(WEIGHTS)
+            edges.append((y, x, w) if again != "same" else (x, y, w))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists())
+def test_constructor_matches_the_dict_loop(case):
+    n, edges = case
+    try:
+        want = reference_edges(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            WeightedGraph(n, edges, np.ones(n))
+        assert str(got.value) == str(exc)
+        return
+    g = WeightedGraph(n, edges, np.ones(n))
+    assert_same_edges(g, want)
+    # an iterator and an (E, 3) array give the same graph
+    assert_same_edges(WeightedGraph(n, iter(edges), np.ones(n)), want)
+    as_array = np.array(edges, dtype=float).reshape(-1, 3)
+    assert_same_edges(WeightedGraph(n, as_array, np.ones(n)), want)
+
+
+def test_constructor_keeps_the_first_of_many_repeats():
+    # hundreds of repeats in both orientations, weights within the
+    # tolerance: only a stable sort keeps the first one listed
+    rng = np.random.default_rng(7)
+    x, y = rng.integers(0, 6, 600), rng.integers(0, 6, 600)
+    keep = x != y
+    w = 1.0 + 1e-11 * rng.integers(0, 50, 600)
+    edges = list(zip(x[keep].tolist(), y[keep].tolist(), w[keep].tolist()))
+    assert_same_edges(WeightedGraph(6, edges, np.ones(6)), reference_edges(6, edges))
+
+
+def test_repeated_infinite_weight_conflicts_as_in_the_loop():
+    # inf - inf is nan, never within the tolerance
+    edges = [(0, 1, float("inf")), (1, 0, float("inf"))]
+    with pytest.raises(ValueError) as want:
+        reference_edges(2, edges)
+    with pytest.raises(ValueError, match="inf vs inf") as got:
+        WeightedGraph(2, edges, np.ones(2))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_vertex_ids_are_value_errors(bad):
+    with pytest.raises(ValueError, match="unknown vertex"):
+        WeightedGraph(3, [(0, 1, 1.0), (1, bad, 1.0)], np.ones(3))
+
+
+def test_first_offending_edge_in_input_order_is_named():
+    edges = [(0, 1, 1.0), (2, 2, 1.0), (1, 0, 2.0), (0, 9, 1.0)]
+    with pytest.raises(ValueError, match="loop at vertex 2"):
+        WeightedGraph(3, edges, np.ones(3))
+    with pytest.raises(ValueError, match=r"conflicting weights for edge \(0, 1\): 1.0 vs 2.0"):
+        WeightedGraph(3, edges[:1] + edges[2:], np.ones(3))
+
+
+def test_malformed_edge_shapes_are_value_errors():
+    with pytest.raises(ValueError, match="triples"):
+        WeightedGraph(3, [(0, 1)], np.ones(3))
+    with pytest.raises(ValueError):
+        WeightedGraph(3, [(0, 1, 1.0), (1, 2)], np.ones(3))
+    g = WeightedGraph(3, np.empty((0, 3)), np.ones(3))
+    assert g.edge_count == 0 and g.edge_u.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# sphere decompositions
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree (some vertices with many children) plus chords,
+    integer or fractional weights, killing on some vertices, and a root
+    set of one to three vertices."""
+    n = draw(st.integers(1, 60))
+    integral = draw(st.booleans())
+    weight = st.integers(1, 4).map(float) if integral else st.floats(0.1, 10.0)
+    hub = draw(st.integers(1, 12))
+    fan = draw(st.integers(0, n))  # vertices below fan hang off vertex 0
+    edges = [
+        (0 if v < fan else draw(st.integers(max(0, v - hub), v - 1)), v, draw(weight))
+        for v in range(1, n)
+    ]
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for x, y in draw(st.lists(pairs, max_size=2 * n)):
+            if x != y:
+                edges.append((x, y, draw(weight)))
+    measure = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    killing = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.5]), min_size=n, max_size=n))
+    # a chord may repeat a pair: keep the first weight, as the graph does
+    first = {}
+    for x, y, w in edges:
+        first.setdefault((min(x, y), max(x, y)), w)
+    edges = [(x, y, w) for (x, y), w in first.items()]
+    roots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    return WeightedGraph(n, edges, measure, killing), sorted(set(roots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_sphere_decomposition_matches_the_bfs_loop(case):
+    g, roots = case
+    dec = sphere_decomposition(g, roots)
+    want = reference_spheres(g, roots)
+    assert dec.root == tuple(roots)
+    assert len(dec.spheres) == len(want["spheres"])
+    for got, ref in zip(dec.spheres, want["spheres"]):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ref)
+    for field in (
+        "radius_of", "kappa_plus", "kappa_minus", "kappa_zero", "q",
+        "boundary", "sphere_measure", "sphere_killing",
+    ):
+        got, ref = getattr(dec, field), want[field]
+        assert got.dtype == ref.dtype, field
+        np.testing.assert_array_equal(got, ref, err_msg=field)
+
+
+def test_sphere_sums_of_many_fractional_terms_match_the_loop():
+    # vertex 0 has 40 outward neighbours of fractional weight, and sphere
+    # 1 holds 40 fractional measures: both sums leave the left-to-right
+    # regime of np.sum, where bincount alone would differ in the last bit
+    rng = np.random.default_rng(3)
+    n = 41
+    edges = [(0, v, float(w)) for v, w in zip(range(1, n), rng.uniform(0.1, 3.0, n - 1))]
+    g = WeightedGraph(n, edges, rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 1.0, n))
+    dec = sphere_decomposition(g, [0])
+    want = reference_spheres(g, [0])
+    for field in ("kappa_plus", "kappa_minus", "boundary", "sphere_measure", "sphere_killing"):
+        np.testing.assert_array_equal(getattr(dec, field), want[field], err_msg=field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 30), st.data())
+def test_unreachable_vertices_are_listed_as_before(n, data):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(x, y), max(x, y)) for x, y in data.draw(st.lists(pairs, max_size=n)) if x != y}
+    g = WeightedGraph(n, [(x, y, 1.0) for x, y in edges], np.ones(n))
+    roots = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))))
+    message = reference_unreachable_message(g, roots)
+    if message is None:
+        sphere_decomposition(g, roots)
+    else:
+        with pytest.raises(StructuralError) as got:
+            sphere_decomposition(g, roots)
+        assert str(got.value) == message
+
+
+# ---------------------------------------------------------------------------
+# decompositions and builders
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.data())
+def test_decompose_lists_ends_as_the_component_scan(case, data):
+    g, _ = case
+    x1 = data.draw(st.lists(st.integers(0, g.vertex_count - 1), max_size=g.vertex_count))
+    split = decompose(g, x1)
+    assert split.ends == reference_ends(g, sorted(set(x1)))
+    deg = np.zeros(g.vertex_count)
+    cross = split.edge_region == EDGE_CROSS
+    np.add.at(deg, g.edge_u[cross], g.edge_w[cross])
+    np.add.at(deg, g.edge_v[cross], g.edge_w[cross])
+    np.testing.assert_array_equal(split.deg_boundary, deg / g.measure)
+
+
+@pytest.mark.parametrize(
+    "fam,depth",
+    [
+        (wss_tree(2), 6),
+        (wss_tree(3), 4),
+        (wss_tree(SeqSpec(coeff=2.0, overrides=((0, 3.0), (1, 1.0))), prefix_len=24), 5),
+    ],
+)
+def test_tree_builder_matches_the_nested_loops(fam, depth):
+    trunc = fam.build(depth)
+    kv = fam.params["k"].values(np.arange(depth))
+    sizes = [int(fam.profile.sphere_count(r)) for r in range(depth + 1)]
+    n = sum(sizes)
+    assert_same_edges(trunc.graph, reference_edges(n, reference_tree_edges(kv, sizes)))
+    assert trunc.roles == tuple(f"sphere:{r}" for r, s in enumerate(sizes) for _ in range(s))
+    np.testing.assert_array_equal(trunc.layer, np.repeat(np.arange(depth + 1), sizes))
+
+
+@pytest.mark.parametrize(
+    "fam,depth", [(anti_tree(linear()), 7), (anti_tree(geometric(2.0), geometric(0.125)), 5)]
+)
+def test_anti_tree_builder_matches_the_nested_loops(fam, depth):
+    trunc = fam.build(depth)
+    sizes = [int(fam.params["s"].value(r)) for r in range(depth + 1)]
+    n = sum(sizes)
+    assert_same_edges(trunc.graph, reference_edges(n, reference_anti_tree_edges(sizes)))
+    mv = fam.params["m_vertex"]
+    np.testing.assert_array_equal(
+        trunc.graph.measure, np.concatenate([np.full(s, mv.value(r)) for r, s in enumerate(sizes)])
+    )
+    assert trunc.roles == tuple(f"sphere:{r}" for r, s in enumerate(sizes) for _ in range(s))
+    assert trunc.layer.dtype == np.int64
+
+
+def test_builders_refuse_depths_beyond_their_prefix():
+    with pytest.raises(StructuralError, match="prefix"):
+        anti_tree(linear(), prefix_len=10).build(10)
+    anti_tree(linear(), prefix_len=10).build(9)
+    with pytest.raises(StructuralError, match="prefix"):
+        wss_tree(1, prefix_len=10).build(11)
+    wss_tree(1, prefix_len=10).build(10)

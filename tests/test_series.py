@@ -324,6 +324,13 @@ def test_tail_sum_exact_matches_mpmath(log_coeff, power, ratio, r_from):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_tail_descriptions_print_no_negative_zero():
+    # the reciprocal negates the power: 0.0 must stay 0.0, not -0.0
+    assert "-0" not in tail_reciprocal(PowerGeomTail(1, 0, 2)).describe()
+    assert tail_reciprocal(PowerGeomTail(1, 0, 2)).describe() == "1*(r+1)^0*0.5^r"
+    assert "-0" not in PowerGeomTail(-0.0, -0.0, 1.0).describe()
+
+
 def test_tail_sum_falls_back_to_mpmath_next_to_ratio_one():
     # the remainder bound cannot be certified within the float term budget
     assert series._geometric_tail_sum(1.0, -3.0, 1 - 1e-9, 48) is None

@@ -6,6 +6,7 @@ import pytest
 from formuniq.errors import StructuralError
 from formuniq.families import gallery
 from formuniq.graph import WeightedGraph, energy, laplacian, lp_norm
+from formuniq.series import profile_from_graph
 from formuniq.symmetry import (
     average,
     commutation_residual,
@@ -164,3 +165,53 @@ def test_commutation_fails_without_symmetry():
     assert not is_weakly_spherically_symmetric(g, dec)
     f = np.array([0.0, 0.0, 1.0, -1.0, 2.0])
     assert commutation_residual(g, dec, f) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# profiles read off graphs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,depth", [("binary_tree", 9), ("linear_anti_tree", 12), ("geom_mass_anti_tree", 6)]
+)
+def test_profile_from_graph_reproduces_the_family_prefix(name, depth):
+    fam = gallery(name)
+    trunc = fam.build(depth + 1)
+    dec = sphere_decomposition(trunc.graph, [trunc.root])
+    prof = profile_from_graph(trunc.graph, dec, depth, name="read")
+    for field in ("boundary_prefix", "measure_prefix", "killing_prefix", "count_prefix"):
+        np.testing.assert_array_equal(
+            getattr(prof, field), getattr(fam.profile, field)[:depth], err_msg=field
+        )
+    assert prof.name == "read"
+
+
+def test_profile_from_graph_needs_radius_and_symmetry():
+    trunc = gallery("binary_tree").build(5)
+    g = trunc.graph
+    dec = sphere_decomposition(g, [trunc.root])
+    profile_from_graph(g, dec, 5)
+    with pytest.raises(StructuralError, match="radius 5"):
+        profile_from_graph(g, dec, 6)
+    with pytest.raises(ValueError, match="at least 1"):
+        profile_from_graph(g, dec, 0)
+    # one scaled measure on sphere 4 breaks the symmetry there
+    m = np.array(g.measure)
+    m[dec.sphere(4)[1]] *= 2.0
+    h = WeightedGraph(g.vertex_count, np.column_stack((g.edge_u, g.edge_v, g.edge_w)), m)
+    dec_h = sphere_decomposition(h, [trunc.root])
+    profile_from_graph(h, dec_h, 3)  # checks spheres 0..3 only
+    with pytest.raises(StructuralError, match="not weakly spherically symmetric"):
+        profile_from_graph(h, dec_h, 4)
+
+
+def test_depth_16_binary_tree_decomposes_to_the_closed_form():
+    trunc = gallery("binary_tree").build(16)  # 131071 vertices
+    dec = sphere_decomposition(trunc.graph, [trunc.root])
+    r = np.arange(17)
+    assert trunc.graph.vertex_count == 2**17 - 1
+    np.testing.assert_array_equal(dec.boundary[:16], 2.0 ** (r[:16] + 1))
+    assert dec.boundary[16] == 0.0
+    np.testing.assert_array_equal(dec.sphere_measure, 2.0**r)
+    assert is_weakly_spherically_symmetric(trunc.graph, dec)
