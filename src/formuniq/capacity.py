@@ -25,7 +25,7 @@ from scipy.sparse.linalg import cg, spsolve
 
 from .errors import PreconditionError, StructuralError
 from .families import Family
-from .graph import WeightedGraph, degrees, form_norm_sq
+from .graph import WeightedGraph, degrees, form_norm_sq, vertex_mask
 from .series import (
     CustomTail,
     quotient_graph,
@@ -114,13 +114,14 @@ def is_strongly_intrinsic(
 def shortest_paths(
     g: WeightedGraph, lengths: EdgeLengths, sources: Sequence[int]
 ) -> np.ndarray:
-    """d_sigma(x, sources) for every vertex (inf when unreachable)."""
-    src = sorted({int(s) for s in sources})
-    if not src:
+    """d_sigma(x, sources) for every vertex (inf when unreachable).
+
+    ``sources`` takes the forms :func:`~formuniq.graph.vertex_mask`
+    accepts.
+    """
+    src = np.flatnonzero(vertex_mask(g.vertex_count, sources, "source vertex {v} out of range"))
+    if not len(src):
         raise ValueError("source set is empty")
-    for s in src:
-        if not 0 <= s < g.vertex_count:
-            raise ValueError(f"source vertex {s} out of range")
     mat = length_matrix(g, lengths)
     return np.asarray(dijkstra(mat, directed=False, indices=src, min_only=True))
 
@@ -134,8 +135,9 @@ def cutoff_function(
 ) -> np.ndarray:
     """Metric cutoff eta_r(x) = ((2r - d_Y(x, x0)) / r)_+ ^ 1 (capped at 1).
 
-    d_Y is the sigma path metric using only edges inside ``y_set``;
-    vertices outside (or unreachable inside) Y get 0.  For a strongly
+    d_Y is the sigma path metric using only edges inside ``y_set``
+    (any form :func:`~formuniq.graph.vertex_mask` accepts); vertices
+    outside (or unreachable inside) Y get 0.  For a strongly
     intrinsic sigma with Y the whole vertex set, the cutoff satisfies
     sum_y b(x,y)(eta(x) - eta(y))^2 <= m(x)/r^2 at every vertex; for a
     proper subset the bound is guaranteed at vertices all of whose
@@ -143,18 +145,17 @@ def cutoff_function(
     """
     if r <= 0:
         raise ValueError("cutoff radius must be positive")
-    y = sorted({int(v) for v in y_set})
-    if x0 not in y:
+    inside = vertex_mask(g.vertex_count, y_set, "cutoff region references an unknown vertex")
+    if x0 not in np.flatnonzero(inside):
         raise PreconditionError(f"center vertex {x0} is not in the cutoff region")
     if lengths is None:
         lengths = degree_path_lengths(g)
-    inside = np.zeros(g.vertex_count, dtype=bool)
-    inside[y] = True
-    mat = length_matrix(g, lengths).tolil()
-    outside = np.nonzero(~inside)[0]
-    mat[outside, :] = 0
-    mat[:, outside] = 0
-    dist = np.asarray(dijkstra(mat.tocsr(), directed=False, indices=[x0], min_only=True))
+    mat = length_matrix(g, lengths)
+    # keep only the edges with both ends in Y
+    rows = np.repeat(np.arange(g.vertex_count), np.diff(mat.indptr))
+    mat.data[~(inside[rows] & inside[mat.indices])] = 0.0
+    mat.eliminate_zeros()
+    dist = np.asarray(dijkstra(mat, directed=False, indices=[x0], min_only=True))
     eta = np.clip((2 * r - dist) / r, 0.0, 1.0)
     eta[~np.isfinite(dist)] = 0.0
     return eta
@@ -173,22 +174,32 @@ def equilibrium_potential(
     Minimizes ``||u||^2 + Q(u)`` subject to ``u = 1`` on K, by solving
     the stationarity system ``(M + C + D - B) u = 0`` on the complement
     with the K-rows fixed at one; capacity is the minimizer's squared
-    form norm.  cap(empty) = 0 with the zero potential.
+    form norm.  ``k_set`` takes the forms
+    :func:`~formuniq.graph.vertex_mask` accepts.  cap(empty) = 0 with
+    the zero potential.
     """
-    k = sorted({int(v) for v in k_set})
     n = g.vertex_count
-    if any(not 0 <= v < n for v in k):
-        raise ValueError("constraint set references an unknown vertex")
-    if not k:
+    in_k = vertex_mask(n, k_set, "constraint set references an unknown vertex")
+    if not in_k.any():
         return np.zeros(n), 0.0
     e = np.ones(n)
-    free = np.setdiff1d(np.arange(n), np.array(k, dtype=int))
+    free = np.flatnonzero(~in_k)
     if len(free):
         w = g.adjacency
         row_sums = np.asarray(w.sum(axis=1)).ravel()
         diag = g.measure + g.killing + row_sums
-        a_ff = sp.diags(diag[free]) - w[free][:, free]
-        rhs = np.asarray(w[free][:, k].sum(axis=1)).ravel()
+        w_f = w[free]
+        a_ff = sp.diags(diag[free]) - w_f[:, free]
+        rhs = w_f @ in_k
+        # rhs sums each free row over its K-columns in scipy's row-sum
+        # order (the first term plus np.sum of the others), so that
+        # potentials keep their bits; the product adds left to right,
+        # which agrees up to two terms, and rows with three or more
+        # terms in K are summed by scipy
+        hits = np.concatenate(([0], np.cumsum(in_k[w_f.indices])))[w_f.indptr]
+        redo = np.flatnonzero(np.diff(hits) >= 3)
+        if len(redo):
+            rhs[redo] = np.asarray(w_f[redo][:, in_k].sum(axis=1)).ravel()
         if len(free) <= DIRECT_SOLVE_LIMIT:
             sol = spsolve(a_ff.tocsc(), rhs)
         else:

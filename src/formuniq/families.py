@@ -19,6 +19,7 @@ consumed by the decomposition and instability machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections.abc import Callable, Mapping
 from itertools import chain
 
@@ -122,6 +123,7 @@ class Truncation:
 
     Roles look like ``"chain:3"``, ``"pendant:3"``, ``"sphere:2"``,
     ``"hub"``; ``layer[v]`` is the layer index the vertex belongs to.
+    Role lookups read one index of ``roles``, built on first use.
     """
 
     graph: WeightedGraph
@@ -130,16 +132,42 @@ class Truncation:
     roles: tuple[str, ...]
     layer: np.ndarray
 
+    @cached_property
+    def _role_ids(self) -> dict[str, list[int]]:
+        """The ids of each role's vertices, ascending, built on first use."""
+        ids: dict[str, list[int]] = {}
+        for v, r in enumerate(self.roles):
+            ids.setdefault(r, []).append(v)
+        return ids
+
+    @cached_property
+    def _rails(self) -> dict[str, np.ndarray]:
+        """Each role prefix's vertices by layer, then by id (read-only)."""
+        parts: dict[str, list[int]] = {}
+        for r, v in self._role_ids.items():
+            parts.setdefault(r.partition(":")[0], []).extend(v)
+        rails = {}
+        for prefix, v in parts.items():
+            ids = np.sort(np.array(v, dtype=np.int64))
+            rails[prefix] = ids[np.argsort(self.layer[ids], kind="stable")]
+            rails[prefix].flags.writeable = False
+        return rails
+
+    def role_vertices(self, role: str) -> np.ndarray:
+        """The vertices whose role is ``role``, ascending (maybe none)."""
+        return np.array(self._role_ids.get(role, ()), dtype=np.int64)
+
     def find_role(self, role: str) -> int:
-        hits = [v for v, r in enumerate(self.roles) if r == role]
+        hits = self._role_ids.get(role, ())
         if len(hits) != 1:
             raise KeyError(f"role {role!r} matches {len(hits)} vertices")
         return hits[0]
 
-    def rail(self, prefix: str) -> list[int]:
-        """Vertices whose role starts with ``prefix + ':'``, by layer."""
-        hits = [v for v, r in enumerate(self.roles) if r.split(":")[0] == prefix]
-        return sorted(hits, key=lambda v: int(self.layer[v]))
+    def rail(self, prefix: str) -> np.ndarray:
+        """Vertices whose role starts with ``prefix + ':'`` (or is
+        ``prefix``), by layer, then by id (a read-only array)."""
+        rail = self._rails.get(prefix)
+        return np.empty(0, dtype=np.int64) if rail is None else rail
 
 
 @dataclass

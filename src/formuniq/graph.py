@@ -170,6 +170,32 @@ class WeightedGraph:
         )
 
 
+def vertex_mask(n: int, ids: Iterable | np.ndarray, unknown: str) -> np.ndarray:
+    """Boolean mask over ``range(n)`` of the vertex ids in ``ids``.
+
+    ``ids`` is any iterable of ids, duplicates allowed.  A 1-d integer
+    array is used as it is; anything else is read id by id with
+    ``int()``, so floats truncate toward zero and nan or inf raise as
+    ``int()`` does.  An id outside ``[0, n)`` raises
+    ``ValueError(unknown.format(v=...))``, ``v`` being the smallest such
+    id.  ``np.flatnonzero`` of the mask gives the sorted unique ids.
+    """
+    if isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu":
+        arr = ids
+    else:
+        vals = [int(v) for v in ids]
+        try:
+            arr = np.array(vals, dtype=np.int64)
+        except OverflowError:  # beyond int64, hence out of range
+            arr = np.array(vals, dtype=object)
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise ValueError(unknown.format(v=int(arr[bad].min())))
+    mask = np.zeros(n, dtype=bool)
+    mask[arr] = True
+    return mask
+
+
 def _check_vertex(g: WeightedGraph, x: int) -> int:
     x = int(x)
     if not 0 <= x < g.vertex_count:
@@ -258,14 +284,13 @@ def induced_subgraph(
 ) -> tuple[WeightedGraph, np.ndarray]:
     """Subgraph induced by ``vertices``.
 
-    Returns the subgraph (with vertices renumbered in the given order)
-    and the array mapping new ids back to the original ones.
+    ``vertices`` takes the forms :func:`vertex_mask` accepts.  Returns
+    the subgraph (with vertices renumbered in increasing id order) and
+    the array mapping new ids back to the original ones.
     """
-    keep = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
+    keep = np.flatnonzero(vertex_mask(g.vertex_count, vertices, "vertex selection out of range"))
     if len(keep) == 0:
         raise ValueError("vertex selection is empty")
-    if keep[0] < 0 or keep[-1] >= g.vertex_count:
-        raise ValueError("vertex selection out of range")
     new_id = -np.ones(g.vertex_count, dtype=np.int64)
     new_id[keep] = np.arange(len(keep))
     mask = (new_id[g.edge_u] >= 0) & (new_id[g.edge_v] >= 0)

@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .errors import StructuralError
-from .graph import WeightedGraph, _as_function, laplacian
+from .graph import WeightedGraph, _as_function, laplacian, vertex_mask
 from .series import (
     RadialProfile,
     SeriesKind,
@@ -43,7 +43,7 @@ from .series import (
     series_verdict,
     tail_converges,
 )
-from .symmetry import sphere_decomposition
+from .symmetry import _ordered_sums, sphere_decomposition
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,12 @@ def solve_symmetric_harmonic(
 ) -> HarmonicSolution:
     """Run the forward recurrence to the given depth.
 
-    Requires ``alpha > 0`` and ``u0 > 0``; the solution is then
+    Requires finite ``alpha > 0`` and ``u0 > 0``; the solution is then
     strictly increasing.  Depth may not exceed the range over which the
     profile has explicit values (custom tails stop at the prefix).
     """
+    _require_finite("alpha", alpha)
+    _require_finite("u0", u0)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if u0 <= 0:
@@ -136,6 +138,41 @@ def solve_symmetric_harmonic(
     )
 
 
+def _require_finite(name: str, x: float) -> None:
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+
+
+def _dirichlet_system(
+    g: WeightedGraph, alpha: float, root: int, value: float, interior: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The rows of ``diag(d) - W`` at the ``interior`` vertices (sorted
+    ids, one per unknown), without the anchor's column, which moves to
+    the right-hand side times ``value``.  ``d`` adds the adjacency row
+    sums (each summed as ``np.sum`` sums the row), the killing term and
+    ``alpha`` times the measure."""
+    n = g.vertex_count
+    w = g.adjacency
+    d = _ordered_sums(np.repeat(np.arange(n), np.diff(w.indptr)), w.data, n)
+    d = d + g.killing + alpha * g.measure
+    sub = w[interior]
+    row = np.repeat(np.arange(len(interior)), np.diff(sub.indptr))
+    at_root = sub.indices == root
+    rhs = np.zeros(len(interior))
+    rhs[interior == root] -= d[root] * value
+    rhs[row[at_root]] += sub.data[at_root] * value
+    own = np.flatnonzero(interior != root)
+    cols = np.concatenate((sub.indices[~at_root], interior[own]))
+    mat = sp.csr_matrix(
+        (
+            np.concatenate((-sub.data[~at_root], d[interior[own]])),
+            (np.concatenate((row[~at_root], own)), cols - (cols > root)),
+        ),
+        shape=(len(interior), n - 1),
+    )
+    return mat, rhs
+
+
 def truncated_dirichlet_solve(
     g: WeightedGraph,
     alpha: float,
@@ -144,11 +181,13 @@ def truncated_dirichlet_solve(
 ) -> np.ndarray:
     """Solve ``(L + alpha) u = 0`` on a truncation by direct linear algebra.
 
-    Unknowns are all vertices except the anchor; equations are imposed
-    at ``interior`` vertices only (default: every vertex whose BFS
-    distance from the anchor is below the maximum, leaving the farthest
-    sphere as a free boundary).  Edges absent from the truncation are
-    simply absent: no boundary condition is invented for them.
+    Unknowns are all vertices except the anchor, whose value must be
+    finite; equations are imposed at ``interior`` vertices only (any
+    form :func:`~formuniq.graph.vertex_mask` accepts; default: every
+    vertex whose BFS distance from the anchor is below the maximum,
+    leaving the farthest sphere as a free boundary).  Edges absent from
+    the truncation are simply absent: no boundary condition is invented
+    for them.
 
     The system must be square — one free-boundary value per dropped
     equation.  A multi-vertex free boundary on a branching truncation
@@ -157,52 +196,30 @@ def truncated_dirichlet_solve(
     :class:`StructuralError` in that case, and verifies the residual of
     the computed solution.
     """
+    _require_finite("alpha", alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     root, value = int(anchor[0]), float(anchor[1])
-    if not 0 <= root < g.vertex_count:
+    n = g.vertex_count
+    if not 0 <= root < n:
         raise ValueError(f"anchor vertex {root} out of range")
+    _require_finite("anchor value", value)
 
     if interior is None:
         dec = sphere_decomposition(g, [root])
         interior_idx = np.flatnonzero(dec.radius_of < dec.radius)
     else:
-        interior_idx = np.unique(np.asarray(interior, dtype=np.int64))
-    n = g.vertex_count
-    unknowns = np.array([v for v in range(n) if v != root], dtype=np.int64)
-    if len(interior_idx) != len(unknowns):
+        interior_idx = np.flatnonzero(
+            vertex_mask(n, interior, "interior references an unknown vertex")
+        )
+    if len(interior_idx) != n - 1:
         raise StructuralError(
-            f"{len(interior_idx)} equations for {len(unknowns)} unknowns: "
+            f"{len(interior_idx)} equations for {n - 1} unknowns: "
             "the free boundary does not determine the system; solve the "
             "radial quotient chain instead"
         )
 
-    col_of = -np.ones(n, dtype=np.int64)
-    col_of[unknowns] = np.arange(len(unknowns))
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(len(interior_idx))
-    indptr, indices, data = g.adjacency.indptr, g.adjacency.indices, g.adjacency.data
-    for i, x in enumerate(interior_idx):
-        nbrs = indices[indptr[x] : indptr[x + 1]]
-        ws = data[indptr[x] : indptr[x + 1]]
-        diag = ws.sum() + g.killing[x] + alpha * g.measure[x]
-        if x == root:
-            rhs[i] -= diag * value
-        else:
-            rows.append(i)
-            cols.append(col_of[x])
-            vals.append(diag)
-        for y, w in zip(nbrs, ws):
-            if y == root:
-                rhs[i] += w * value
-            else:
-                rows.append(i)
-                cols.append(col_of[y])
-                vals.append(-w)
-
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(interior_idx), len(unknowns))
-    )
+    mat, rhs = _dirichlet_system(g, alpha, root, value, interior_idx)
     sol = spsolve(mat.tocsc(), rhs)
     if not np.all(np.isfinite(sol)):
         raise StructuralError("free-boundary system is singular")
@@ -213,7 +230,7 @@ def truncated_dirichlet_solve(
 
     u = np.empty(n)
     u[root] = value
-    u[unknowns] = sol
+    u[np.arange(n) != root] = sol
     return u
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PreconditionError, StructuralError
 from .capacity import CapacityEstimate, profile_boundary_capacity
 from .families import Family, SeqSpec, Truncation
-from .graph import WeightedGraph, component_labels, induced_subgraph
+from .graph import WeightedGraph, component_labels, induced_subgraph, vertex_mask
 from .harmonic import truncated_dirichlet_solve
 from .series import (
     SeriesKind,
@@ -77,12 +77,12 @@ class Decomposition:
 
 
 def decompose(g: WeightedGraph, x1: Sequence[int]) -> Decomposition:
-    """Split the graph along X1 versus its complement."""
-    in_x1 = np.zeros(g.vertex_count, dtype=bool)
-    ids = np.asarray(sorted({int(v) for v in x1}), dtype=int)
-    if len(ids) and (ids[0] < 0 or ids[-1] >= g.vertex_count):
-        raise ValueError("x1 references an unknown vertex")
-    in_x1[ids] = True
+    """Split the graph along X1 versus its complement.
+
+    ``x1`` takes the forms :func:`~formuniq.graph.vertex_mask` accepts.
+    """
+    in_x1 = vertex_mask(g.vertex_count, x1, "x1 references an unknown vertex")
+    ids = np.flatnonzero(in_x1)
 
     u_in = in_x1[g.edge_u]
     v_in = in_x1[g.edge_v]
@@ -259,12 +259,12 @@ def family_boundary_degree(
     )
 
 
-def _family_x1(trunc: Truncation, role: str) -> list[int]:
-    exact = [v for v, r in enumerate(trunc.roles) if r == role]
-    if exact:
+def _family_x1(trunc: Truncation, role: str) -> np.ndarray:
+    exact = trunc.role_vertices(role)
+    if len(exact):
         return exact
     rail = trunc.rail(role)
-    if not rail:
+    if not len(rail):
         raise StructuralError(f"no vertices with role {role!r}")
     return rail
 
@@ -548,15 +548,11 @@ def _solve_example(family: Family, trunc: Truncation, alpha: float) -> np.ndarra
     rail0 = "chain" if family.kind in ("pendant", "star") else "x"
     rim = trunc.find_role(f"{rail0}:{trunc.depth}")
     anchor = trunc.find_role(f"{rail0}:0")
-    interior = np.setdiff1d(np.arange(g.vertex_count), [rim])
+    interior = np.delete(np.arange(g.vertex_count), rim)
     u = truncated_dirichlet_solve(g, alpha, (anchor, 1.0), interior=interior)
     if u.min() <= 0:
         raise StructuralError("positive-solution ansatz failed on the truncation")
     return u
-
-
-def _rail_values(trunc: Truncation, prefix: str) -> np.ndarray:
-    return np.array(trunc.rail(prefix), dtype=int)
 
 
 def _increase_onset(values: np.ndarray) -> tuple[int, bool]:
@@ -617,8 +613,8 @@ def analyze_instability_example(
         # the last quarter of the truncation feels the free boundary;
         # patterns and energies are read inside the remaining window
         window = max(2, (3 * depth) // 4)
-        chain = _rail_values(trunc, rail0)
-        attached = _rail_values(trunc, attach)
+        chain = trunc.rail(rail0)
+        attached = trunc.rail(attach)
 
         onset, rising = _increase_onset(u[chain[: window + 2]])
         ks = np.arange(onset, window + 1)

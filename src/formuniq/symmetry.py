@@ -29,6 +29,7 @@ from .graph import (
     _as_function,
     laplacian,
     require_connected_to,
+    vertex_mask,
 )
 
 
@@ -86,17 +87,15 @@ def _ordered_sums(keys: np.ndarray, values: np.ndarray, length: int) -> np.ndarr
 def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecomposition:
     """Compute distance spheres about ``root`` and the associated data.
 
-    Raises :class:`StructuralError` when the root set is empty or some
-    vertex cannot be reached from it.
+    ``root`` takes the forms :func:`~formuniq.graph.vertex_mask`
+    accepts.  Raises :class:`StructuralError` when the root set is
+    empty or some vertex cannot be reached from it.
     """
-    roots = sorted(set(int(r) for r in root))
-    if not roots:
-        raise StructuralError("root set is empty")
-    for r in roots:
-        if not 0 <= r < g.vertex_count:
-            raise ValueError(f"root vertex {r} out of range")
-
     n = g.vertex_count
+    roots = np.flatnonzero(vertex_mask(n, root, "root vertex {v} out of range"))
+    if not len(roots):
+        raise StructuralError("root set is empty")
+
     dist = dijkstra(g.adjacency, unweighted=True, min_only=True, indices=roots)
     if np.isinf(dist).any():
         require_connected_to(g, roots)
@@ -126,7 +125,7 @@ def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecompo
     sphere_c = _ordered_sums(radius, g.killing, len(sizes))
 
     return SphereDecomposition(
-        root=tuple(roots),
+        root=tuple(roots.tolist()),
         spheres=spheres,
         radius_of=radius,
         kappa_plus=kplus,

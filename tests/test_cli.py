@@ -226,6 +226,16 @@ def test_harmonic_stops_at_float_overflow(capsys):
         assert max(verdict["sample_depths"]) < len(rows)
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--alpha", "nan"), ("--alpha", "inf"), ("--u0", "nan"), ("--u0", "inf")]
+)
+def test_harmonic_rejects_non_finite_parameters(capsys, flag, value):
+    code, out, err = run(capsys, "harmonic", "--family", "unit_chain", flag, value)
+    assert code == INPUT_ERROR
+    assert out == ""
+    assert f"{flag[2:]} must be finite, got {float(value)!r}" in err
+
+
 def test_harmonic_rejects_asymmetric_family(capsys):
     code, _, err = run(capsys, "harmonic", "--family", "pendant_boundary")
     assert code == INPUT_ERROR

@@ -135,6 +135,22 @@ def test_direct_solve_validates_inputs():
         truncated_dirichlet_solve(g, 1.0, (5, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_alpha_and_u0_are_rejected(bad):
+    p = gallery("unit_chain").profile
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        solve_symmetric_harmonic(p, bad, 1.0, 4)
+    with pytest.raises(ValueError, match="u0 must be finite"):
+        solve_symmetric_harmonic(p, 1.0, bad, 4)
+    g = gallery("unit_chain").build(6).graph
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no MatrixRankWarning on the way
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            truncated_dirichlet_solve(g, bad, (0, 1.0))
+        with pytest.raises(ValueError, match="anchor value must be finite"):
+            truncated_dirichlet_solve(g, 1.0, (0, bad))
+
+
 def test_membership_report_geometric_chain_has_l2_witness():
     p = gallery("geometric_chain").profile
     sol = solve_symmetric_harmonic(p, 1.0, 1.0, 12)
