@@ -3,12 +3,14 @@
 The capacity of a vertex set K is the squared form norm of its
 equilibrium potential: the minimizer of ``||u||^2 + Q(u)`` subject to
 ``u = 1`` on K.  Boundary capacity is estimated along a shrinking
-sequence of metric neighborhoods of "infinity": for a spherically
+sequence of metric neighborhoods of "infinity".  For a spherically
 symmetric profile the neighborhood at scale eps is the union of all
-spheres whose remaining radial sigma-length is below eps, and the value
-splits exactly into a finite equilibrium solve plus the (c+m)-mass of
-the constrained tail.  For composite families the neighborhoods live in
-finite truncations and the report tracks how values respond to
+spheres whose remaining radial sigma-length is below eps; its potential
+is radial, so the value is one positive-term radial recurrence (the
+capacity of the ball's outer sphere, grown one sphere at a time) plus
+the (c+m)-mass of the constrained tail.  For composite families the
+neighborhoods live in finite truncations, the values come from sparse
+equilibrium solves, and the report tracks how they respond to
 deepening the truncation.
 """
 
@@ -28,7 +30,6 @@ from .families import Family
 from .graph import WeightedGraph, degrees, form_norm_sq, vertex_mask
 from .series import (
     CustomTail,
-    quotient_graph,
     tail_add,
     tail_converges,
     tail_max,
@@ -252,11 +253,13 @@ def radial_boundary_reach(p) -> RadialReach:
     (nonempty Cauchy boundary); an infinite one, complete.
     """
     n = p.prefix_len
-    deg = np.empty(n)
-    for r in range(n):
-        below = p.boundary(r - 1) if r > 0 else 0.0
-        deg[r] = (p.boundary(r) + below + p.sphere_killing(r)) / p.sphere_measure(r)
-    sigma = np.maximum(deg[:-1], deg[1:]) ** -0.5
+    b = p.values("boundary", n)
+    below = np.concatenate(([0.0], b[:-1]))
+    # a degree beyond the float range reads as inf (sigma 0), one below
+    # it as 0 (sigma inf), quietly
+    with np.errstate(over="ignore", divide="ignore"):
+        deg = (b + below + p.values("killing", n)) / p.values("measure", n)
+        sigma = np.maximum(deg[:-1], deg[1:]) ** -0.5
 
     custom = any(
         isinstance(t, CustomTail)
@@ -317,8 +320,8 @@ class CapacityEstimate:
     evidence: tuple[str, ...]
 
 
-def _classify(values: list[float], *, infinite_tail: bool) -> tuple[float | None, str]:
-    if infinite_tail or any(math.isinf(v) for v in values):
+def _classify(values: list[float]) -> tuple[float | None, str]:
+    if any(math.isinf(v) for v in values):
         return math.inf, "infinite"
     if len(values) >= 2:
         last, prev = values[-1], values[-2]
@@ -343,13 +346,21 @@ def _check_nonincreasing(values: Sequence[float]) -> None:
 
 
 def profile_boundary_capacity(
-    p, depths: Sequence[int], *, eps0: float | None = None, name: str = ""
+    p, depths: Sequence[int], *, name: str = ""
 ) -> CapacityEstimate:
     """Boundary capacity of a radial profile along shrinking neighborhoods.
 
-    Exact route: the value at each scale is a finite quotient-chain
-    equilibrium solve plus the analytic (c+m)-mass of the constrained
-    tail; see :func:`boundary_capacity_estimate` for the schedule.
+    Depth d gives U_n, the spheres at radius >= n = d + 1, at the scale
+    eps = remaining radial sigma-length at radius d.  Its equilibrium
+    potential is one on U_n and alpha=1 harmonic inside, so
+    cap(U_n) = a_n + (c+m)-mass beyond n, where a_r is the capacity of
+    sphere r within the ball of radius r:
+
+        a_0 = (m+c)(S_0),  s_r = a_r / (a_r + dB(r)),
+        a_r = (m+c)(S_r) + dB(r-1) s_{r-1}
+
+    (dB(r-1) s_{r-1} is edge and inner ball in series).  Every term is
+    positive, so the loop neither cancels nor overflows.
     """
     if not depths:
         raise ValueError("need at least one depth")
@@ -371,74 +382,41 @@ def profile_boundary_capacity(
             "zero",
             ("total radial sigma-length is infinite, so the Cauchy boundary is empty",),
         )
-
-    # Scale per depth d: by default eps = remaining radial length at
-    # radius d, so U_eps = {remaining length < eps} is the union of all
-    # spheres at radius > d; an explicit eps0 switches to the halving
-    # schedule eps0, eps0/2, eps0/4, ...
-    cuts: list[tuple[int, float, int]] = []
-    for idx, depth in enumerate(depths):
-        if eps0 is None:
-            if depth + 1 >= len(reach.tail_length):
-                raise StructuralError(
-                    "neighborhood depth exceeds the profile prefix; extend prefix_len"
-                )
-            cuts.append((depth, float(reach.tail_length[depth]), depth + 1))
-        else:
-            eps = eps0 * 0.5**idx
-            hits = np.nonzero(reach.tail_length < eps)[0]
-            if len(hits) == 0:
-                raise StructuralError(
-                    "neighborhood shrank past the profile prefix; extend prefix_len"
-                )
-            cuts.append((depth, eps, int(hits[0])))
+    top = max(depths) + 1
+    if top >= len(reach.tail_length):
+        raise StructuralError(
+            "neighborhood depth exceeds the profile prefix; extend prefix_len"
+        )
+    b = p.values("boundary", top + 1).tolist()
+    mc = (p.values("measure", top + 1) + p.values("killing", top + 1)).tolist()
+    a = [mc[0]]
+    for r in range(1, top + 1):
+        a.append(mc[r] + b[r - 1] * (a[r - 1] / (a[r - 1] + b[r - 1])))
 
     rows: list[CapacityRow] = []
     values: list[float] = []
     evidence: list[str] = []
-    infinite_tail = False
-    for idx, (depth, eps, r_cut) in enumerate(cuts):
-        tail_mass = p.mass_beyond(r_cut - 1)  # (c+m)-mass at radius >= r_cut
+    for depth in depths:
+        r_cut = depth + 1
+        eps = float(reach.tail_length[depth])
+        tail_mass = p.mass_beyond(depth)  # (c+m)-mass at radius >= r_cut
         desc = f"spheres at radius >= {r_cut}"
         if not math.isfinite(tail_mass):
-            infinite_tail = True
             rows.append(CapacityRow(depth, eps, desc, math.inf, math.inf))
             values.append(math.inf)
             evidence.append(f"eps={eps:.3e}: constrained tail has infinite (c+m)-mass")
             continue
-        if r_cut == 0:
-            cap = form_norm_sq(quotient_graph(p, 1), np.ones(2)) + p.mass_beyond(1)
-            rows.append(CapacityRow(depth, eps, "all of X", cap, cap))
-            values.append(cap)
-            continue
-        chain = quotient_graph(p, r_cut)
-        _, cap_whole = equilibrium_potential(chain, [r_cut])
-        # The quotient solve already counts sphere r_cut once; the rest
-        # of the constrained tail contributes its (c+m)-mass verbatim.
-        value = cap_whole + p.mass_beyond(r_cut)
-        # Enlarging the solve region cannot move the value: every added
-        # sphere is already constrained to one.  Check once anyway (the
-        # documented < 0.1% truncation-deepening stopping rule).
-        if idx == 0:
-            deeper = quotient_graph(p, r_cut + 8)
-            _, cap_deep = equilibrium_potential(deeper, list(range(r_cut, r_cut + 9)))
-            alt = cap_deep + p.mass_beyond(r_cut + 8)
-            if not math.isclose(value, alt, rel_tol=STABILITY_RTOL):
-                evidence.append(f"deepening check mismatch: {value!r} vs {alt!r}")
-        trapped = tail_mass if p.killing_is_zero else p.measure_beyond(r_cut - 1)
+        value = a[r_cut] + p.mass_beyond(r_cut)
+        trapped = tail_mass if p.killing_is_zero else p.measure_beyond(depth)
         rows.append(CapacityRow(depth, eps, desc, value, float(trapped)))
         values.append(value)
 
     _check_nonincreasing(values)
-    extrapolated, label = _classify(values, infinite_tail=infinite_tail)
-    if infinite_tail:
-        extrapolated = math.inf
+    extrapolated, label = _classify(values)
     return CapacityEstimate(name, tuple(rows), extrapolated, label, tuple(evidence))
 
 
-def _vertex_route(
-    family: Family, depths: Sequence[int], eps0: float | None
-) -> CapacityEstimate:
+def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
     depth = max(depths)
     base = family.build(depth)
     deeper = family.build(depth + max(4, depth // 4))
@@ -450,16 +428,15 @@ def _vertex_route(
 
     dist_base = tail_distances(base)
     dist_deep = tail_distances(deeper)
-    if eps0 is None:
-        finite = dist_base[np.isfinite(dist_base)]
-        eps0 = float(finite.max()) / 4 if len(finite) else 1.0
+    finite = dist_base[np.isfinite(dist_base)]
+    scale = float(finite.max()) / 4 if len(finite) else 1.0
 
     rows: list[CapacityRow] = []
     values: list[float] = []
     evidence: list[str] = []
     grew = shrank = 0
     for idx, d in enumerate(depths):
-        eps = eps0 * 0.5**idx
+        eps = scale * 0.5**idx
         in_base = np.nonzero(dist_base < eps)[0]
         in_deep = np.nonzero(dist_deep < eps)[0]
         _, cap_base = equilibrium_potential(base.graph, in_base)
@@ -489,26 +466,24 @@ def _vertex_route(
         )
     if grew or shrank:
         return CapacityEstimate(family.name, tuple(rows), None, "undecided", tuple(evidence))
-    extrapolated, label = _classify(values, infinite_tail=False)
+    extrapolated, label = _classify(values)
     return CapacityEstimate(family.name, tuple(rows), extrapolated, label, tuple(evidence))
 
 
-def boundary_capacity_estimate(
-    family: Family, depths: Sequence[int], *, eps0: float | None = None
-) -> CapacityEstimate:
+def boundary_capacity_estimate(family: Family, depths: Sequence[int]) -> CapacityEstimate:
     """Capacity of shrinking boundary neighborhoods U_eps.
 
-    The neighborhood scale halves per entry of ``depths`` (a geometric
-    schedule); profiles get exact values (finite solve plus analytic
-    tail mass), other families get truncation-backed estimates with a
-    deepening stability check at each scale.
+    Profiles get exact values, one per entry of ``depths`` (the
+    recurrence of :func:`profile_boundary_capacity` plus analytic tail
+    mass); other families get truncation-backed estimates at a scale
+    that halves per entry of ``depths``, starting from a quarter of the
+    largest sigma-distance to the rim, with a deepening stability check
+    at each scale.
     """
     if not depths:
         raise ValueError("need at least one depth")
     if any(d < 1 for d in depths):
         raise ValueError("depths must be positive")
     if family.profile is not None:
-        return profile_boundary_capacity(
-            family.profile, depths, eps0=eps0, name=family.name
-        )
-    return _vertex_route(family, depths, eps0)
+        return profile_boundary_capacity(family.profile, depths, name=family.name)
+    return _vertex_route(family, depths)

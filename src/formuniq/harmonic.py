@@ -101,6 +101,15 @@ def solve_symmetric_harmonic(
             f"profile values end at radius {int(avail) - 1}; cannot solve to depth {depth}"
         )
 
+    b = p.values("boundary", depth)
+    bad = np.flatnonzero(~(b > 0))
+    if len(bad):
+        r = int(bad[0])
+        raise StructuralError(f"layer boundary weight dB({r}) = {float(b[r])} is not positive")
+    b = b.tolist()
+    m = p.values("measure", depth + 1).tolist()
+    c = p.values("killing", depth + 1).tolist()
+
     u = np.empty(depth + 1)
     inc = np.empty(depth)
     l1 = np.empty(depth + 1)
@@ -113,16 +122,13 @@ def solve_symmetric_harmonic(
     # the first non-finite radius themselves
     with np.errstate(all="ignore"):
         for r in range(depth + 1):
-            m_r = p.sphere_measure(r)
-            c_r = p.sphere_killing(r)
+            m_r, c_r = m[r], c[r]
             acc_l1 += u[r] * m_r
             acc_l2 += u[r] ** 2 * m_r
             l1[r], l2[r] = acc_l1, acc_l2
             if r == depth:
                 break
-            b_r = p.boundary(r)
-            if not b_r > 0:
-                raise StructuralError(f"layer boundary weight dB({r}) = {b_r} is not positive")
+            b_r = b[r]
             drive += (c_r + alpha * m_r) * u[r]
             inc[r] = drive / b_r
             u[r + 1] = u[r] + inc[r]

@@ -1010,10 +1010,11 @@ def quotient_graph(p: RadialProfile, depth: int) -> WeightedGraph:
     depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    edges = [(r, r + 1, p.boundary(r)) for r in range(depth)]
-    m = [p.sphere_measure(r) for r in range(depth + 1)]
-    c = [p.sphere_killing(r) for r in range(depth + 1)]
-    return WeightedGraph(depth + 1, edges, m, c)
+    r = np.arange(depth)
+    edges = np.column_stack((r, r + 1, p.values("boundary", depth)))
+    return WeightedGraph(
+        depth + 1, edges, p.values("measure", depth + 1), p.values("killing", depth + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError, StructuralError
 from .capacity import CapacityEstimate, profile_boundary_capacity
 from .families import Family, SeqSpec, Truncation
-from .graph import WeightedGraph, component_labels, induced_subgraph, vertex_mask
+from .graph import WeightedGraph, vertex_mask
 from .harmonic import truncated_dirichlet_solve
 from .series import (
     SeriesKind,
@@ -99,10 +100,9 @@ def decompose(g: WeightedGraph, x1: Sequence[int]) -> Decomposition:
     x2 = np.nonzero(~in_x1)[0]
     ends: tuple[tuple[int, ...], ...] = ()
     if len(x2):
-        sub, keep = induced_subgraph(g, x2)
-        count, labels = component_labels(sub)
+        count, labels = connected_components(g.adjacency[x2][:, x2], directed=False)
         # one stable sort lists each component's vertices in id order
-        members = keep[np.argsort(labels, kind="stable")].tolist()
+        members = x2[np.argsort(labels, kind="stable")].tolist()
         bounds = np.cumsum(np.bincount(labels, minlength=count)).tolist()
         ends = tuple(tuple(members[a:b]) for a, b in zip([0] + bounds, bounds))
     return Decomposition(g, ids, x2, region, deg, ends)

@@ -41,7 +41,8 @@ class SphereDecomposition:
     sphere ``r+1``; for a finite graph the last entry is 0.  Per-vertex
     arrays (``kappa_plus`` etc.) are indexed by vertex id, per-radius
     arrays (``boundary``, ``sphere_measure``, ``sphere_killing``) by
-    radius.
+    radius.  The per-vertex ratios (``kappa_*``, ``q``) are inf where a
+    weight over the vertex measure leaves the float range.
     """
 
     root: tuple[int, ...]
@@ -116,11 +117,14 @@ def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecompo
         return _ordered_sums(keys, np.concatenate((w[below], w[above])), n)
 
     out = per_vertex(1)
-    kplus = out / g.measure
-    kminus = per_vertex(-1) / g.measure
-    kzero = per_vertex(0) / g.measure
+    # a weight over a tiny measure may leave the float range: the ratio
+    # is then inf, quietly (a deep quotient chain is still a valid graph)
+    with np.errstate(over="ignore"):
+        kplus = out / g.measure
+        kminus = per_vertex(-1) / g.measure
+        kzero = per_vertex(0) / g.measure
+        q = g.killing / g.measure
     boundary = np.bincount(radius, weights=out)  # left to right, by vertex id
-    q = g.killing / g.measure
     sphere_m = _ordered_sums(radius, g.measure, len(sizes))
     sphere_c = _ordered_sums(radius, g.killing, len(sizes))
 

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from formuniq import (
     PreconditionError,
-    StructuralError,
     WeightedGraph,
     boundary_capacity_estimate,
     cutoff_function,
@@ -24,6 +26,8 @@ from formuniq.capacity import (
     length_matrix,
     shortest_paths,
 )
+from formuniq.cli import OK, main
+from formuniq.families import SeqSpec, birth_death
 from formuniq.graph import laplacian
 from formuniq.series import CustomTail, PowerGeomTail, RadialProfile
 
@@ -301,33 +305,107 @@ def test_profile_capacity_tail_mass_bounds_value():
         assert row.value >= row.trapped_measure > 0
 
 
-def test_explicit_halving_schedule():
-    p = gallery("geometric_chain").profile
-    reach = radial_boundary_reach(p)
-    eps0 = float(reach.tail_length[4])
-    est = profile_boundary_capacity(p, (8, 16, 24), eps0=eps0)
-    for idx, row in enumerate(est.rows):
-        assert row.epsilon == pytest.approx(eps0 * 0.5**idx)
-    assert est.classification in ("positive-finite", "undecided")
-
-
-def test_huge_scale_covers_everything():
-    p = gallery("geometric_chain").profile
-    reach = radial_boundary_reach(p)
-    est = profile_boundary_capacity(p, (4,), eps0=reach.total * 2)
-    assert est.rows[0].description == "all of X"
-    assert est.rows[0].value == pytest.approx(p.total_measure())
-
-
-def test_schedule_past_prefix_is_an_error():
-    p = gallery("geometric_chain").profile
-    with pytest.raises(StructuralError, match="prefix"):
-        profile_boundary_capacity(p, (4,), eps0=1e-300)
-
-
 def test_capacity_depth_validation():
     fam = gallery("geometric_chain")
     with pytest.raises(ValueError, match="at least one"):
         boundary_capacity_estimate(fam, ())
     with pytest.raises(ValueError, match="positive"):
         boundary_capacity_estimate(fam, (0, 4))
+
+
+# ---------------------------------------------------------------------------
+# the profile recurrence against 50-digit linear algebra
+# ---------------------------------------------------------------------------
+
+
+def mp_chain(p, n):
+    """dB(0..n-1) and (m+c)(S_0..S_n) of a profile as exact mpmath numbers."""
+    b = [mpmath.mpf(x) for x in p.values("boundary", n).tolist()]
+    m = p.values("measure", n + 1).tolist()
+    c = p.values("killing", n + 1).tolist()
+    return b, [mpmath.mpf(x) + mpmath.mpf(y) for x, y in zip(m, c)]
+
+
+def mp_capacity(p, depth):
+    """cap(U_n), n = depth + 1, from a 50-digit tridiagonal solve.
+
+    The equilibrium potential of sphere n on the quotient chain 0..n
+    solves ``(M + C + D - B) u = 0`` at radii below n with u(n) = 1
+    (Thomas elimination); its form norm plus the (c+m)-mass beyond n
+    is the capacity.
+    """
+    n = depth + 1
+    with mpmath.workdps(50):
+        b, mc = mp_chain(p, n)
+        diag = [mc[r] + b[r] + (b[r - 1] if r else 0) for r in range(n)]
+        upper, rhs = [], []  # the eliminated rows: u(r) = rhs[r] + upper[r] u(r+1)
+        for r in range(n):
+            pivot = diag[r] - (b[r - 1] * upper[r - 1] if r else 0)
+            upper.append(b[r] / pivot)
+            rhs.append((b[r - 1] * rhs[r - 1] if r else 0) / pivot)
+        u = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
+        for r in range(n - 1, -1, -1):
+            u[r] = rhs[r] + upper[r] * u[r + 1]
+        energy = sum(mc[r] * u[r] ** 2 for r in range(n + 1))
+        energy += sum(b[r] * (u[r + 1] - u[r]) ** 2 for r in range(n))
+        return energy + p.mass_beyond(n)
+
+
+seqs = st.tuples(
+    st.floats(1e-3, 1e3), st.floats(-4.0, 4.0), st.floats(0.25, 4.0)
+).map(lambda t: SeqSpec(*t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seqs,
+    seqs,
+    st.none() | seqs,
+    st.lists(st.integers(1, 318), min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_profile_capacity_matches_the_chain_solve(b, m, c, depths):
+    try:
+        p = birth_death(b, m, c if c is not None else 0.0).profile
+    except ValueError:
+        assume(False)
+    est = profile_boundary_capacity(p, depths)
+    values = [row.value for row in est.rows]
+    # nested neighborhoods never gain capacity; each value is within
+    # 1e-14 of its exact counterpart, so two neighbors within 2e-14
+    assert all(nxt <= prev * (1 + 2e-14) for prev, nxt in zip(values, values[1:]))
+    for row in est.rows:
+        assert row.value >= row.trapped_measure
+        if est.classification == "zero" or math.isinf(row.value):
+            continue
+        want = mp_capacity(p, row.depth)
+        assert abs(row.value - want) <= 1e-14 * want, (row.depth, row.value, want)
+
+
+def test_geometric_chain_capacity_at_every_depth():
+    p = gallery("geometric_chain").profile
+    depths = range(16, 319)
+    est = profile_boundary_capacity(p, depths)
+    assert est.classification == "positive-finite"
+    assert est.extrapolated == 0.8250407357089236
+    # cap(U_n) = (m+c)(S_n) + dB(n-1) inc(n-1) / h(n) + mass beyond n, with
+    # h the increasing alpha=1 harmonic function and inc its increments
+    with mpmath.workdps(50):
+        b, mc = mp_chain(p, depths[-1] + 1)
+        h, inc, drive = [mpmath.mpf(1)], [], mpmath.mpf(0)
+        for r in range(len(b)):
+            drive += mc[r] * h[r]
+            inc.append(drive / b[r])
+            h.append(h[r] + inc[r])
+        for row in est.rows:
+            n = row.depth + 1
+            want = mc[n] + b[n - 1] * inc[n - 1] / h[n] + p.mass_beyond(n)
+            assert abs(row.value - want) <= 1e-14 * want, (row.depth, row.value, want)
+    values = [row.value for row in est.rows]
+    assert all(nxt <= prev * (1 + 2e-14) for prev, nxt in zip(values, values[1:]))
+
+
+def test_capacity_cli_deep_geometric_chain(capsys):
+    assert main(["capacity", "--family", "geometric_chain", "--depths", "16,100"]) == OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("100,") and lines[2].split(",")[2] == "0.8250407357089236"
+    assert lines[-1] == "# classification: positive-finite (0.8250407357089236)"

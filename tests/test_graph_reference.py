@@ -344,6 +344,17 @@ def test_decompose_lists_ends_as_the_component_scan(case, data):
     np.testing.assert_array_equal(split.deg_boundary, deg / g.measure)
 
 
+def test_decompose_lists_ends_on_random_cuts_of_a_tree():
+    # X2 a random subset of the depth-10 binary tree: many components,
+    # of every size, labelled from the adjacency slice as before
+    g = wss_tree(SeqSpec(2.0)).build(10).graph
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        x2 = rng.random(g.vertex_count) < rng.uniform(0.05, 0.95)
+        x1 = np.flatnonzero(~x2)
+        assert decompose(g, x1).ends == reference_ends(g, x1.tolist())
+
+
 @pytest.mark.parametrize(
     "fam,depth",
     [

@@ -76,6 +76,31 @@ def test_recurrence_past_the_float_range_returns_every_radius():
     assert not np.isfinite(sol.partial_l2[sol.finite_rows])
 
 
+def test_recurrence_names_the_first_vanishing_boundary_weight():
+    # the boundary tail underflows to zero from radius 2 on
+    p = RadialProfile(
+        boundary_prefix=np.ones(2),
+        measure_prefix=np.ones(2),
+        killing_prefix=np.zeros(2),
+        count_prefix=np.ones(2),
+        boundary_tail=PowerGeomTail(1.0, 0.0, 1e-200),
+        measure_tail=PowerGeomTail(1.0),
+    )
+    solve_symmetric_harmonic(p, 1.0, 1.0, 2)  # dB(0), dB(1) suffice
+    with pytest.raises(StructuralError, match=r"^layer boundary weight dB\(2\) = 0.0 is not positive$"):
+        solve_symmetric_harmonic(p, 1.0, 1.0, 5)
+
+
+def test_direct_solve_on_a_deep_chain_is_quiet():
+    # kappa_plus = dB(r) / m(S_r) = (2 / 0.12)^r leaves the float range
+    # near r = 250; the radii of the solve do not need it
+    p = birth_death(PowerGeomTail(1, 0, 2), PowerGeomTail(1, 0, 0.12)).profile
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = truncated_dirichlet_solve(quotient_graph(p, 300), 1.0, (0, 1.0))
+    assert u == pytest.approx(solve_symmetric_harmonic(p, 1.0, 1.0, 300).values, rel=1e-10)
+
+
 @pytest.mark.parametrize("name", ["unit_chain", "geometric_chain", "square_chain"])
 @pytest.mark.parametrize("alpha", [0.25, 1.0])
 def test_recurrence_agrees_with_direct_solve_on_chains(name, alpha):

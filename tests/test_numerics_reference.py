@@ -4,9 +4,11 @@ The references below are the earlier implementations, kept verbatim in
 behaviour: the ``sorted({int(v) ...})`` / ``setdiff1d`` normalisation of
 vertex sets at each call site, the equilibrium solve that sliced the
 adjacency twice, the per-vertex COO loop of the free-boundary system,
-the ``tolil()`` zeroing of the cutoff metric and the role scans of
-``Truncation``.  The array versions must give the same arrays bit for
-bit, and the same exception type and message.
+the ``tolil()`` zeroing of the cutoff metric, the role scans of
+``Truncation`` and the per-radius profile lookups of the radial
+degrees, the quotient chain and the harmonic recurrence.  The array
+versions must give the same arrays bit for bit, and the same exception
+type and message.
 """
 
 import numpy as np
@@ -26,9 +28,11 @@ from formuniq.capacity import (
     shortest_paths,
 )
 from formuniq.errors import PreconditionError, StructuralError
-from formuniq.families import GALLERY, Truncation, gallery, wss_tree
+from formuniq.capacity import radial_boundary_reach
+from formuniq.families import GALLERY, SeqSpec, Truncation, birth_death, gallery, wss_tree
 from formuniq.graph import WeightedGraph, form_norm_sq, format_graph_text, induced_subgraph, vertex_mask
-from formuniq.harmonic import _dirichlet_system, truncated_dirichlet_solve
+from formuniq.harmonic import _dirichlet_system, solve_symmetric_harmonic, truncated_dirichlet_solve
+from formuniq.series import quotient_graph
 from formuniq.stability import _family_x1, decompose
 from formuniq.symmetry import sphere_decomposition
 
@@ -176,6 +180,52 @@ def reference_family_x1(trunc, role):
     if not rail:
         raise StructuralError(f"no vertices with role {role!r}")
     return rail
+
+
+def reference_reach_sigma(p):
+    n = p.prefix_len
+    deg = np.empty(n)
+    for r in range(n):
+        below = p.boundary(r - 1) if r > 0 else 0.0
+        deg[r] = (p.boundary(r) + below + p.sphere_killing(r)) / p.sphere_measure(r)
+    with np.errstate(divide="ignore"):
+        return np.maximum(deg[:-1], deg[1:]) ** -0.5
+
+
+def reference_quotient(p, depth):
+    edges = [(r, r + 1, p.boundary(r)) for r in range(depth)]
+    m = [p.sphere_measure(r) for r in range(depth + 1)]
+    c = [p.sphere_killing(r) for r in range(depth + 1)]
+    return WeightedGraph(depth + 1, edges, m, c)
+
+
+def reference_harmonic(p, alpha, u0, depth):
+    u = np.empty(depth + 1)
+    inc = np.empty(depth)
+    l1 = np.empty(depth + 1)
+    l2 = np.empty(depth + 1)
+    en = np.empty(depth)
+    u[0] = u0
+    drive = 0.0
+    acc_l1 = acc_l2 = acc_energy = 0.0
+    with np.errstate(all="ignore"):
+        for r in range(depth + 1):
+            m_r = p.sphere_measure(r)
+            c_r = p.sphere_killing(r)
+            acc_l1 += u[r] * m_r
+            acc_l2 += u[r] ** 2 * m_r
+            l1[r], l2[r] = acc_l1, acc_l2
+            if r == depth:
+                break
+            b_r = p.boundary(r)
+            if not b_r > 0:
+                raise StructuralError(f"layer boundary weight dB({r}) = {b_r} is not positive")
+            drive += (c_r + alpha * m_r) * u[r]
+            inc[r] = drive / b_r
+            u[r + 1] = u[r] + inc[r]
+            acc_energy += b_r * inc[r] ** 2 + c_r * u[r] ** 2
+            en[r] = acc_energy
+    return u, inc, l1, l2, en
 
 
 def outcome(f):
@@ -484,3 +534,42 @@ def test_rails_order_ties_by_id():
     t = Truncation(g, 0, 4, roles, layer)
     for prefix in ("a", "b"):
         assert t.rail(prefix).tolist() == reference_rail(t, prefix)
+
+
+# ---------------------------------------------------------------------------
+# profile sequences read once
+# ---------------------------------------------------------------------------
+
+
+seqs = st.tuples(
+    st.floats(1e-3, 1e3), st.floats(-4.0, 4.0), st.floats(0.25, 4.0)
+).map(lambda t: SeqSpec(*t))
+
+
+def assert_profile_reads(p, depth, alpha):
+    """Radial degrees, quotient chain and recurrence inside the prefix."""
+    assert_bits(radial_boundary_reach(p).sigma, reference_reach_sigma(p))
+    got, want = quotient_graph(p, depth), reference_quotient(p, depth)
+    for field in ("edge_u", "edge_v", "edge_w", "measure", "killing"):
+        assert_bits(getattr(got, field), getattr(want, field))
+    sol = solve_symmetric_harmonic(p, alpha, 1.0, depth)
+    assert_same(
+        (sol.values, sol.increments, sol.partial_l1, sol.partial_l2, sol.partial_energy),
+        reference_harmonic(p, alpha, 1.0, depth),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seqs, seqs, st.none() | seqs, st.integers(1, 319), st.floats(0.01, 10.0))
+def test_profile_reads_match_the_per_radius_lookups(b, m, c, depth, alpha):
+    try:
+        p = birth_death(b, m, c if c is not None else 0.0).profile
+    except ValueError:
+        return
+    assert_profile_reads(p, depth, alpha)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GALLERY if gallery(n).profile is not None))
+def test_gallery_profile_reads_match_the_per_radius_lookups(name):
+    p = gallery(name).profile
+    assert_profile_reads(p, p.prefix_len - 1, 1.0)
