@@ -30,6 +30,7 @@ from .families import Family
 from .graph import WeightedGraph, degrees, form_norm_sq, vertex_mask
 from .series import (
     CustomTail,
+    PowerGeomTail,
     tail_add,
     tail_converges,
     tail_max,
@@ -232,7 +233,7 @@ class RadialReach:
     ``finite`` is None when the tail model cannot decide; ``sigma[r]``
     is the exact inter-sphere length for r below the profile prefix,
     and ``tail_length[r]`` the remaining length from sphere r outward
-    (tail part estimated from the closed-form class).
+    (tail part summed from the closed-form class ``sigma_class``).
     """
 
     finite: bool | None
@@ -240,6 +241,7 @@ class RadialReach:
     sigma: np.ndarray
     tail_length: np.ndarray
     note: str = ""
+    sigma_class: PowerGeomTail | None = None
 
 
 def radial_boundary_reach(p) -> RadialReach:
@@ -286,7 +288,7 @@ def radial_boundary_reach(p) -> RadialReach:
     finite = tail_converges(sigma_class)
     beyond = tail_sum_exact(sigma_class, n - 1) if finite else math.inf
     tail_length = np.concatenate([np.cumsum(sigma[::-1])[::-1] + beyond, [beyond]])
-    return RadialReach(finite, float(tail_length[0]), sigma, tail_length)
+    return RadialReach(finite, float(tail_length[0]), sigma, tail_length, "", sigma_class)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +385,6 @@ def profile_boundary_capacity(
             ("total radial sigma-length is infinite, so the Cauchy boundary is empty",),
         )
     top = max(depths) + 1
-    if top >= len(reach.tail_length):
-        raise StructuralError(
-            "neighborhood depth exceeds the profile prefix; extend prefix_len"
-        )
     b = p.values("boundary", top + 1).tolist()
     mc = (p.values("measure", top + 1) + p.values("killing", top + 1)).tolist()
     a = [mc[0]]
@@ -398,7 +396,11 @@ def profile_boundary_capacity(
     evidence: list[str] = []
     for depth in depths:
         r_cut = depth + 1
-        eps = float(reach.tail_length[depth])
+        eps = (
+            float(reach.tail_length[depth])
+            if depth < len(reach.tail_length)
+            else tail_sum_exact(reach.sigma_class, depth)
+        )
         tail_mass = p.mass_beyond(depth)  # (c+m)-mass at radius >= r_cut
         desc = f"spheres at radius >= {r_cut}"
         if not math.isfinite(tail_mass):

@@ -75,7 +75,7 @@ def as_seq(spec: SeqSpec | float | int) -> SeqSpec:
 
 
 def _checked_values(seq: SeqSpec, n: int, label: str, *, positive: bool) -> np.ndarray:
-    vals = np.array([seq.value(r) for r in range(n)], dtype=float)
+    vals = seq.values(np.arange(n))
     if not np.all(np.isfinite(vals)):
         raise StructuralError(
             f"{label} sequence overflows within the first {n} radii; "
@@ -98,12 +98,20 @@ def _integral(vals: np.ndarray, label: str) -> np.ndarray:
     return vals
 
 
-def _check_prefix(depth: int, top: int) -> None:
+def _check_depth(depth: int, top: float = np.inf) -> None:
+    if depth < 1:
+        raise PreconditionError("truncation depth must be >= 1")
     if depth > top:
         raise StructuralError(
             f"truncation depth {depth} exceeds the {top} radii the family's "
             "prefix covers; use a longer prefix_len"
         )
+
+
+def _edges(*parts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """``(u, v, w)`` edge rows taking the parts in turn: row k of every
+    part, then row k+1."""
+    return np.stack([np.column_stack(p) for p in parts], axis=1).reshape(-1, 3)
 
 
 def _sphere_roles(sizes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -224,17 +232,12 @@ def birth_death(
     profile = _chain_profile(b, m, c, prefix_len, name)
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-        edges = [(r, r + 1, b.value(r)) for r in range(depth)]
-        g = WeightedGraph(
-            depth + 1,
-            edges,
-            measure=[m.value(r) for r in range(depth + 1)],
-            killing=[c.value(r) for r in range(depth + 1)],
-        )
-        roles = tuple(f"chain:{r}" for r in range(depth + 1))
-        return Truncation(g, 0, depth, roles, np.arange(depth + 1))
+        _check_depth(depth)
+        r = np.arange(depth + 1)
+        edges = _edges((r[:-1], r[1:], b.values(r[:-1])))
+        g = WeightedGraph(depth + 1, edges, measure=m.values(r), killing=c.values(r))
+        roles = tuple(f"chain:{k}" for k in range(depth + 1))
+        return Truncation(g, 0, depth, roles, r)
 
     return Family(
         name=name,
@@ -283,9 +286,7 @@ def wss_tree(
     )
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-        _check_prefix(depth, len(kv))
+        _check_depth(depth, len(kv))
         fanout = kv[:depth].astype(np.int64)
         sizes = np.concatenate(([1], np.cumprod(fanout)))
         n = int(sizes.sum())
@@ -334,9 +335,7 @@ def anti_tree(
     )
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-        _check_prefix(depth, len(mvv) - 1)
+        _check_depth(depth, len(mvv) - 1)
         sizes = sv[: depth + 1].astype(np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)])
         n = int(starts[-1])
@@ -388,29 +387,20 @@ def bilateral_chain(
     )
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-
-        def vid(k: int) -> int:  # 0, +r -> 2r-1, -r -> 2r
-            return 0 if k == 0 else (2 * k - 1 if k > 0 else -2 * k)
-
-        n = 2 * depth + 1
-        measure = np.empty(n)
-        measure[0] = pm.value(0)
-        roles = [""] * n
-        layer = np.empty(n, dtype=int)
-        roles[0], layer[0] = "origin", 0
-        edges = []
-        for r in range(depth):
-            edges.append((vid(r), vid(r + 1), pb.value(r)))
-            edges.append((vid(-r), vid(-r - 1), nb.value(r)))
-        for r in range(1, depth + 1):
-            measure[vid(r)] = pm.value(r)
-            measure[vid(-r)] = nm.value(r)
-            roles[vid(r)], layer[vid(r)] = f"pos:{r}", r
-            roles[vid(-r)], layer[vid(-r)] = f"neg:{r}", r
-        g = WeightedGraph(n, edges, measure=measure)
-        return Truncation(g, 0, depth, tuple(roles), layer)
+        _check_depth(depth)
+        # vertex ids: 0 -> 0, +r -> 2r-1, -r -> 2r
+        r = np.arange(depth + 1)
+        edges = _edges(
+            (np.maximum(2 * r[:-1] - 1, 0), 2 * r[1:] - 1, pb.values(r[:-1])),
+            (2 * r[:-1], 2 * r[1:], nb.values(r[:-1])),
+        )
+        pos_m = pm.values(r)
+        sides = np.column_stack((pos_m[1:], nm.values(r[1:]))).ravel()
+        measure = np.concatenate((pos_m[:1], sides))
+        roles = ("origin",) + tuple(f"{s}:{i}" for i in range(1, depth + 1) for s in ("pos", "neg"))
+        layer = np.concatenate(([0], np.repeat(r[1:], 2)))
+        g = WeightedGraph(len(measure), edges, measure=measure)
+        return Truncation(g, 0, depth, roles, layer)
 
     return Family(
         name=name,
@@ -442,20 +432,16 @@ def pendant_chain(
     x1_profile = _chain_profile(cb, cm, const(0.0), prefix_len, f"{name}/chain")
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-        n = 2 * depth + 2
-        edges = [(2 * k, 2 * k + 2, cb.value(k)) for k in range(depth)]
-        edges += [(2 * k, 2 * k + 1, vb.value(k)) for k in range(depth + 1)]
-        measure = np.empty(n)
-        measure[0::2] = [cm.value(k) for k in range(depth + 1)]
-        measure[1::2] = [pm.value(k) for k in range(depth + 1)]
-        g = WeightedGraph(n, edges, measure=measure)
-        roles = []
-        for k in range(depth + 1):
-            roles += [f"chain:{k}", f"pendant:{k}"]
-        layer = np.repeat(np.arange(depth + 1), 2)
-        return Truncation(g, 0, depth, tuple(roles), layer)
+        _check_depth(depth)
+        k = np.arange(depth + 1)
+        edges = np.concatenate((
+            _edges((2 * k[:-1], 2 * k[1:], cb.values(k[:-1]))),
+            _edges((2 * k, 2 * k + 1, vb.values(k))),
+        ))
+        measure = np.column_stack((cm.values(k), pm.values(k))).ravel()
+        g = WeightedGraph(len(measure), edges, measure=measure)
+        roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
+        return Truncation(g, 0, depth, roles, np.repeat(k, 2))
 
     return Family(
         name=name,
@@ -492,22 +478,17 @@ def star_chain(
     x1_profile = _chain_profile(cb, cm, const(0.0), prefix_len, f"{name}/chain")
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-        n = 2 * depth + 3
-        edges = [(1 + 2 * k, 3 + 2 * k, cb.value(k)) for k in range(depth)]
-        edges += [(1 + 2 * k, 2 + 2 * k, vb.value(k)) for k in range(depth + 1)]
-        edges += [(0, 2 + 2 * k, hb.value(k)) for k in range(depth + 1)]
-        measure = np.empty(n)
-        measure[0] = hub_m
-        measure[1::2] = [cm.value(k) for k in range(depth + 1)]
-        measure[2::2] = [pm.value(k) for k in range(depth + 1)]
-        g = WeightedGraph(n, edges, measure=measure)
-        roles = ["hub"]
-        for k in range(depth + 1):
-            roles += [f"chain:{k}", f"pendant:{k}"]
-        layer = np.concatenate([[0], np.repeat(np.arange(depth + 1), 2)])
-        return Truncation(g, 1, depth, tuple(roles), layer)
+        _check_depth(depth)
+        k = np.arange(depth + 1)
+        edges = np.concatenate((
+            _edges((1 + 2 * k[:-1], 1 + 2 * k[1:], cb.values(k[:-1]))),
+            _edges((1 + 2 * k, 2 + 2 * k, vb.values(k))),
+            _edges((np.zeros_like(k), 2 + 2 * k, hb.values(k))),
+        ))
+        measure = np.concatenate(([hub_m], np.column_stack((cm.values(k), pm.values(k))).ravel()))
+        g = WeightedGraph(len(measure), edges, measure=measure)
+        roles = ("hub",) + tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
+        return Truncation(g, 1, depth, roles, np.concatenate(([0], np.repeat(k, 2))))
 
     return Family(
         name=name,
@@ -557,27 +538,17 @@ def double_ladder(
     x1_profile = _chain_profile(yb, ym, zero, prefix_len, f"{name}/y")
 
     def build(depth: int) -> Truncation:
-        if depth < 1:
-            raise PreconditionError("truncation depth must be >= 1")
-        n = 3 * depth + 3
-        edges = []
-        for k in range(depth):
-            edges.append((3 * k, 3 * k + 3, xb.value(k)))
-            edges.append((3 * k + 1, 3 * k + 4, yb.value(k)))
-            edges.append((3 * k + 2, 3 * k + 5, zb.value(k)))
-        for k in range(depth + 1):
-            edges.append((3 * k, 3 * k + 1, rxy.value(k)))
-            edges.append((3 * k + 1, 3 * k + 2, ryz.value(k)))
-        measure = np.empty(n)
-        measure[0::3] = [xm.value(k) for k in range(depth + 1)]
-        measure[1::3] = [ym.value(k) for k in range(depth + 1)]
-        measure[2::3] = [zm.value(k) for k in range(depth + 1)]
-        g = WeightedGraph(n, edges, measure=measure)
-        roles = []
-        for k in range(depth + 1):
-            roles += [f"x:{k}", f"y:{k}", f"z:{k}"]
-        layer = np.repeat(np.arange(depth + 1), 3)
-        return Truncation(g, 0, depth, tuple(roles), layer)
+        _check_depth(depth)
+        k = np.arange(depth + 1)
+        ids, r = 3 * k, k[:-1]
+        edges = np.concatenate((
+            _edges(*((ids[:-1] + j, ids[1:] + j, s.values(r)) for j, s in enumerate((xb, yb, zb)))),
+            _edges((ids, ids + 1, rxy.values(k)), (ids + 1, ids + 2, ryz.values(k))),
+        ))
+        measure = np.column_stack([s.values(k) for s in (xm, ym, zm)]).ravel()
+        g = WeightedGraph(len(measure), edges, measure=measure)
+        roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("x", "y", "z"))
+        return Truncation(g, 0, depth, roles, np.repeat(k, 3))
 
     return Family(
         name=name,

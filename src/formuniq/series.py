@@ -101,26 +101,23 @@ class PowerGeomTail:
             return self
         return PowerGeomTail(self.coeff, self.power, self.ratio)
 
-    def value(self, r: int) -> float:
-        """``a(r)``; inf where the closed form leaves the float range."""
-        for k, v in self.overrides:
-            if k == r:
-                return float(v)
-        if self.coeff == 0:
-            return 0.0
-        try:
-            return self.coeff * (r + 1.0) ** self.power * self.ratio**r
-        except OverflowError:
-            return math.inf
-
     def values(self, radii: np.ndarray) -> np.ndarray:
-        """``value`` at every radius in ``radii``; inf (or nan, for
-        inf * 0) where the float range is left, without warnings."""
+        """``a(r)`` at every radius in ``radii``: inf past the float range
+        and 0 below it, without warnings."""
         if self.coeff == 0:
             out = np.zeros(len(radii))
         else:
             with np.errstate(all="ignore"):
                 out = self.coeff * (radii + 1.0) ** self.power * self.ratio**radii
+                # a factor left the float range: the product may still fit
+                off = ~np.isfinite(out) | (out == 0)
+                if off.any():
+                    r = radii[off]
+                    out[off] = np.exp(
+                        math.log(self.coeff)
+                        + self.power * np.log1p(r)
+                        + r * math.log(self.ratio)
+                    )
         for k, v in self.overrides:
             out[radii == k] = v
         return out
@@ -426,12 +423,6 @@ def _parse_prefix(values: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _custom_tail_error(label: str, prefix: np.ndarray) -> StructuralError:
-    return StructuralError(
-        f"{label} sequence has a custom tail: no values beyond radius {len(prefix) - 1}"
-    )
-
-
 @dataclass(frozen=True)
 class RadialProfile:
     """Per-radius description of an infinite radially layered graph.
@@ -490,27 +481,6 @@ class RadialProfile:
     def prefix_len(self) -> int:
         return len(self.boundary_prefix)
 
-    def _value(self, prefix: np.ndarray, tail: TailModel, r: int, label: str) -> float:
-        if r < 0:
-            raise ValueError(f"radius must be nonnegative, got {r}")
-        if r < len(prefix):
-            return float(prefix[r])
-        if isinstance(tail, CustomTail):
-            raise _custom_tail_error(label, prefix)
-        return tail.value(r)
-
-    def boundary(self, r: int) -> float:
-        return self._value(self.boundary_prefix, self.boundary_tail, r, "boundary")
-
-    def sphere_measure(self, r: int) -> float:
-        return self._value(self.measure_prefix, self.measure_tail, r, "measure")
-
-    def sphere_killing(self, r: int) -> float:
-        return self._value(self.killing_prefix, self.killing_tail, r, "killing")
-
-    def sphere_count(self, r: int) -> float:
-        return self._value(self.count_prefix, self.count_tail, r, "count")
-
     def _sequence(self, label: str) -> tuple[np.ndarray, TailModel]:
         """Prefix and tail of 'boundary', 'measure', 'killing' or 'count'."""
         return getattr(self, f"{label}_prefix"), getattr(self, f"{label}_tail")
@@ -522,7 +492,9 @@ class RadialProfile:
         if n <= len(prefix):
             return prefix[:n]
         if isinstance(tail, CustomTail):
-            raise _custom_tail_error(label, prefix)
+            raise StructuralError(
+                f"{label} sequence has a custom tail: no values beyond radius {len(prefix) - 1}"
+            )
         return np.concatenate([prefix, tail.values(np.arange(len(prefix), n))])
 
     def value_depth(self, *sequences: str) -> float:

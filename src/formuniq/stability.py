@@ -624,7 +624,7 @@ def analyze_instability_example(
             and bool(np.all(u[attached[ks]] < u[chain[ks]]))
         )
 
-        weights = np.array([weight.value(k) for k in ks], dtype=float)
+        weights = weight.values(ks)
         edge_e = weights * (u[chain[ks]] - u[attached[ks]]) ** 2
         witness = float(edge_e.sum())
         min_inc = float(edge_e.min()) if len(edge_e) else 0.0

@@ -44,6 +44,7 @@ from formuniq.families import (
 )
 from formuniq.stability import family_boundary_degree, norm_parts
 from formuniq.symmetry import average, commutation_residual
+from scalar_reference import profile_at
 
 
 def report(num, ok, text):
@@ -204,12 +205,13 @@ def test_06_energy_sandwich():
         sol = solve_symmetric_harmonic(p, 1.0, 1.0, 30)
         ball = 0.0
         for r in range(30):
-            ball += p.sphere_killing(r) + 1.0 * p.sphere_measure(r)
+            ball += profile_at(p, "killing", r) + 1.0 * profile_at(p, "measure", r)
             # increments[r] is u(r+1) - u(r) as the recurrence produced
             # it, free of the cancellation a re-subtraction would add
-            mid = p.boundary(r) * sol.increments[r] ** 2
-            lower = ball**2 / p.boundary(r) * sol.values[0] ** 2
-            upper = ball**2 / p.boundary(r) * sol.values[r] ** 2
+            b = profile_at(p, "boundary", r)
+            mid = b * sol.increments[r] ** 2
+            lower = ball**2 / b * sol.values[0] ** 2
+            upper = ball**2 / b * sol.values[r] ** 2
             ok &= lower <= mid * (1 + 1e-10)
             ok &= mid <= upper * (1 + 1e-10)
             if mid > 0:

@@ -29,7 +29,7 @@ from formuniq.capacity import (
 from formuniq.cli import OK, main
 from formuniq.families import SeqSpec, birth_death
 from formuniq.graph import laplacian
-from formuniq.series import CustomTail, PowerGeomTail, RadialProfile
+from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, tail_sum_exact
 
 
 def unit_path(n):
@@ -361,7 +361,7 @@ seqs = st.tuples(
     seqs,
     seqs,
     st.none() | seqs,
-    st.lists(st.integers(1, 318), min_size=1, max_size=4, unique=True).map(sorted),
+    st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True).map(sorted),
 )
 def test_profile_capacity_matches_the_chain_solve(b, m, c, depths):
     try:
@@ -383,7 +383,7 @@ def test_profile_capacity_matches_the_chain_solve(b, m, c, depths):
 
 def test_geometric_chain_capacity_at_every_depth():
     p = gallery("geometric_chain").profile
-    depths = range(16, 319)
+    depths = range(16, 401)
     est = profile_boundary_capacity(p, depths)
     assert est.classification == "positive-finite"
     assert est.extrapolated == 0.8250407357089236
@@ -409,3 +409,20 @@ def test_capacity_cli_deep_geometric_chain(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("100,") and lines[2].split(",")[2] == "0.8250407357089236"
     assert lines[-1] == "# classification: positive-finite (0.8250407357089236)"
+
+
+def test_capacity_depths_past_the_profile_prefix(capsys):
+    # the scale eps reads the prefix lengths up to radius 319 and the
+    # closed-form sigma tail past it
+    p = gallery("geometric_chain").profile
+    reach = radial_boundary_reach(p)
+    est = profile_boundary_capacity(p, (16, 318, 319, 400))
+    eps = [row.epsilon for row in est.rows]
+    assert eps[:3] == reach.tail_length[[16, 318, 319]].tolist()
+    assert eps[3] == tail_sum_exact(reach.sigma_class, 400)
+    assert eps[2] > eps[3] > 0
+    assert main(["capacity", "--family", "geometric_chain", "--depths", "16,319"]) == OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("319,") and lines[2].split(",")[2] == "0.8250407357089236"
+    assert main(["ends", "--family", "bilateral_mixed", "--capacity-depths", "16,400"]) == OK
+    assert "capacity positive-finite" in capsys.readouterr().out

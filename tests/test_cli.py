@@ -298,9 +298,9 @@ def test_family_constructor_emits_profile(capsys):
     )
     assert code == OK
     p = load_profile(io.StringIO(out))
-    for r in range(6):
-        assert p.boundary(r) == pytest.approx(2.0**r)
-        assert p.sphere_measure(r) == pytest.approx(0.5**r)
+    r = np.arange(6)
+    assert p.values("boundary", 6) == pytest.approx(2.0**r)
+    assert p.values("measure", 6) == pytest.approx(0.5**r)
 
 
 def test_family_gallery_takes_no_params(capsys):

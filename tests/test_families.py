@@ -25,8 +25,9 @@ from formuniq.families import (
     star_chain,
     wss_tree,
 )
-from formuniq.series import parse_seq
+from formuniq.series import parse_seq, quotient_graph
 from formuniq.symmetry import sphere_decomposition
+from scalar_reference import seq_at
 
 
 # ---------------------------------------------------------------------------
@@ -36,16 +37,14 @@ from formuniq.symmetry import sphere_decomposition
 
 def test_seqspec_closed_form():
     s = SeqSpec(coeff=3.0, power=2.0, ratio=0.5)
-    for r in range(10):
-        assert s.value(r) == pytest.approx(3.0 * (r + 1) ** 2 * 0.5**r)
-    assert s.values(np.arange(6)).tolist() == [s.value(r) for r in range(6)]
+    want = [3.0 * (r + 1) ** 2 * 0.5**r for r in range(10)]
+    assert s.values(np.arange(10)).tolist() == pytest.approx(want)
+    assert s.values(np.arange(6)).tolist() == [seq_at(s, r) for r in range(6)]
 
 
 def test_seqspec_overrides_and_tail_start():
     s = SeqSpec(coeff=2.0, overrides=((0, 7.0), (3, 0.0)))
-    assert s.value(0) == 7.0
-    assert s.value(3) == 0.0
-    assert s.value(1) == 2.0
+    assert s.values(np.array([0, 3, 1])).tolist() == [7.0, 0.0, 2.0]
     assert s.tail_start == 4
     assert SeqSpec().tail_start == 0
     t = s.tail_class()
@@ -72,11 +71,14 @@ def test_seqspec_validation():
 
 
 def test_helpers_agree_with_closed_forms():
-    assert const(4.0).value(17) == 4.0
-    assert linear(2.0).value(4) == 10.0
-    assert power_seq(2).value(3) == 16.0
-    assert geometric(3.0, coeff=2.0).value(2) == 18.0
-    assert as_seq(2.5).value(9) == 2.5
+    def at(seq, r):
+        return seq.values(np.array([r]))[0]
+
+    assert at(const(4.0), 17) == 4.0
+    assert at(linear(2.0), 4) == 10.0
+    assert at(power_seq(2), 3) == 16.0
+    assert at(geometric(3.0, coeff=2.0), 2) == 18.0
+    assert at(as_seq(2.5), 9) == 2.5
     s = linear()
     assert as_seq(s) is s
 
@@ -117,11 +119,11 @@ def test_birth_death_truncation_structure():
 def test_birth_death_profile_matches_sequences():
     fam = birth_death(power_seq(2), linear(), const(1.0))
     p = fam.profile
-    for r in range(40):
-        assert p.boundary(r) == pytest.approx((r + 1) ** 2)
-        assert p.sphere_measure(r) == pytest.approx(r + 1)
-        assert p.sphere_killing(r) == pytest.approx(1.0)
-        assert p.sphere_count(r) == 1.0
+    r = np.arange(40)
+    assert p.values("boundary", 40) == pytest.approx((r + 1.0) ** 2)
+    assert p.values("measure", 40) == pytest.approx(r + 1.0)
+    assert p.values("killing", 40) == pytest.approx(np.ones(40))
+    assert p.values("count", 40).tolist() == [1.0] * 40
 
 
 def test_build_depth_must_be_positive():
@@ -172,9 +174,9 @@ def test_wss_tree_sphere_counts_multiply():
     # branching 3,3,2,2,2,... via overrides
     fam = wss_tree(SeqSpec(coeff=2.0, overrides=((0, 3.0), (1, 3.0))), prefix_len=24)
     p = fam.profile
-    counts = [p.sphere_count(r) for r in range(6)]
+    counts = p.values("count", 6).tolist()
     assert counts == [1, 3, 9, 18, 36, 72]
-    assert p.boundary(2) == pytest.approx(9 * 2)
+    assert p.values("boundary", 3)[2] == pytest.approx(9 * 2)
 
 
 def test_anti_tree_structure():
@@ -187,7 +189,7 @@ def test_anti_tree_structure():
     # complete bipartite between consecutive spheres
     assert len(ws) == 1 * 2 + 2 * 3 + 3 * 4
     assert np.all(ws == 1.0)
-    assert fam.profile.boundary(2) == pytest.approx(12.0)
+    assert fam.profile.values("boundary", 3)[2] == pytest.approx(12.0)
 
 
 def test_anti_tree_needs_single_root():
@@ -199,8 +201,7 @@ def test_anti_tree_sphere_measure():
     # spheres of 2^r vertices weighted 8^{-r} each: m(S_r) = 4^{-r}
     fam = gallery("geom_mass_anti_tree")
     p = fam.profile
-    for r in range(20):
-        assert p.sphere_measure(r) == pytest.approx(4.0**-r)
+    assert p.values("measure", 20) == pytest.approx(4.0 ** -np.arange(20))
     t = fam.build(4)
     for r in range(5):
         sphere = [v for v in range(t.graph.vertex_count) if t.layer[v] == r]
@@ -220,6 +221,22 @@ def test_sequence_underflow_is_reported():
         birth_death(1.0, geometric(0.01))
 
 
+def test_chain_truncations_read_the_profile_bit_for_bit():
+    # past the short prefix the profile reads its tail class; both views
+    # evaluate the closed form the same way
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        b, m, c = (
+            SeqSpec(10 ** rng.uniform(-3, 3), rng.uniform(-4, 4), rng.uniform(0.25, 4),
+                    overrides=((int(rng.integers(8)), rng.uniform(0.5, 2)),))
+            for _ in range(3)
+        )
+        fam = birth_death(b, m, c, prefix_len=8)
+        got, want = fam.build(40).graph, quotient_graph(fam.profile, 40)
+        for field in ("edge_u", "edge_v", "edge_w", "measure", "killing"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (b, m, c)
+
+
 @pytest.mark.parametrize("name", ["geometric_chain", "unit_chain", "square_chain",
                                   "binary_tree", "linear_anti_tree",
                                   "quadratic_anti_tree", "geom_mass_anti_tree"])
@@ -230,11 +247,12 @@ def test_truncation_agrees_with_profile(name):
     dec = sphere_decomposition(t.graph, [t.root])
     assert dec.radius == 5
     p = fam.profile
+    boundary, measure, count = (p.values(label, 6) for label in ("boundary", "measure", "count"))
     for r in range(5):
-        assert dec.boundary[r] == pytest.approx(p.boundary(r), rel=1e-12)
+        assert dec.boundary[r] == pytest.approx(boundary[r], rel=1e-12)
     for r in range(6):
-        assert dec.sphere_measure[r] == pytest.approx(p.sphere_measure(r), rel=1e-12)
-        assert len(dec.sphere(r)) == int(p.sphere_count(r))
+        assert dec.sphere_measure[r] == pytest.approx(measure[r], rel=1e-12)
+        assert len(dec.sphere(r)) == int(count[r])
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +310,9 @@ def test_bilateral_end_profiles_are_shifted():
     fam = bilateral_chain(geometric(2.0), geometric(0.5), 1.0, 1.0)
     pos_end, neg_end = fam.end_profiles
     # the end starts one step from the origin, so its data begins at r=1
-    assert pos_end.boundary(0) == pytest.approx(2.0)
-    assert pos_end.sphere_measure(0) == pytest.approx(0.5)
-    assert neg_end.boundary(0) == pytest.approx(1.0)
+    assert pos_end.values("boundary", 1)[0] == pytest.approx(2.0)
+    assert pos_end.values("measure", 1)[0] == pytest.approx(0.5)
+    assert neg_end.values("boundary", 1)[0] == pytest.approx(1.0)
 
 
 def test_pendant_chain_layout():
@@ -310,8 +328,8 @@ def test_pendant_chain_layout():
         assert weights[tuple(sorted((chain[k], pend[k])))] == pytest.approx(3.0)
         assert g.measure[pend[k]] == pytest.approx(0.5)
     # chain view doubles as the X1 profile
-    assert fam.x1_profile.boundary(1) == pytest.approx(2.0)
-    assert fam.x1_profile.sphere_measure(2) == pytest.approx(0.25)
+    assert fam.x1_profile.values("boundary", 2)[1] == pytest.approx(2.0)
+    assert fam.x1_profile.values("measure", 3)[2] == pytest.approx(0.25)
 
 
 def test_star_chain_hub_row_must_be_summable():
@@ -346,9 +364,9 @@ def test_double_ladder_layout():
         assert tuple(sorted((xs[k], zs[k]))) not in weights
     assert g.measure[xs[2]] == pytest.approx(0.25)
     x_end, z_end = fam.end_profiles
-    assert x_end.boundary(1) == pytest.approx(2.0)
-    assert z_end.boundary(1) == pytest.approx(1.0)
-    assert fam.x1_profile.sphere_measure(0) == pytest.approx(1.0)
+    assert x_end.values("boundary", 2)[1] == pytest.approx(2.0)
+    assert z_end.values("boundary", 2)[1] == pytest.approx(1.0)
+    assert fam.x1_profile.values("measure", 1)[0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

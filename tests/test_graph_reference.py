@@ -23,6 +23,7 @@ from formuniq.graph import (
 )
 from formuniq.stability import EDGE_CROSS, decompose
 from formuniq.symmetry import sphere_decomposition
+from scalar_reference import profile_at, seq_at
 
 # ---------------------------------------------------------------------------
 # references
@@ -366,7 +367,7 @@ def test_decompose_lists_ends_on_random_cuts_of_a_tree():
 def test_tree_builder_matches_the_nested_loops(fam, depth):
     trunc = fam.build(depth)
     kv = fam.params["k"].values(np.arange(depth))
-    sizes = [int(fam.profile.sphere_count(r)) for r in range(depth + 1)]
+    sizes = [int(profile_at(fam.profile, "count", r)) for r in range(depth + 1)]
     n = sum(sizes)
     assert_same_edges(trunc.graph, reference_edges(n, reference_tree_edges(kv, sizes)))
     assert trunc.roles == tuple(f"sphere:{r}" for r, s in enumerate(sizes) for _ in range(s))
@@ -378,12 +379,12 @@ def test_tree_builder_matches_the_nested_loops(fam, depth):
 )
 def test_anti_tree_builder_matches_the_nested_loops(fam, depth):
     trunc = fam.build(depth)
-    sizes = [int(fam.params["s"].value(r)) for r in range(depth + 1)]
+    sizes = [int(seq_at(fam.params["s"], r)) for r in range(depth + 1)]
     n = sum(sizes)
     assert_same_edges(trunc.graph, reference_edges(n, reference_anti_tree_edges(sizes)))
     mv = fam.params["m_vertex"]
     np.testing.assert_array_equal(
-        trunc.graph.measure, np.concatenate([np.full(s, mv.value(r)) for r, s in enumerate(sizes)])
+        trunc.graph.measure, np.concatenate([np.full(s, seq_at(mv, r)) for r, s in enumerate(sizes)])
     )
     assert trunc.roles == tuple(f"sphere:{r}" for r, s in enumerate(sizes) for _ in range(s))
     assert trunc.layer.dtype == np.int64

@@ -35,6 +35,7 @@ from formuniq.harmonic import _dirichlet_system, solve_symmetric_harmonic, trunc
 from formuniq.series import quotient_graph
 from formuniq.stability import _family_x1, decompose
 from formuniq.symmetry import sphere_decomposition
+from scalar_reference import profile_at
 
 # ---------------------------------------------------------------------------
 # references
@@ -186,16 +187,17 @@ def reference_reach_sigma(p):
     n = p.prefix_len
     deg = np.empty(n)
     for r in range(n):
-        below = p.boundary(r - 1) if r > 0 else 0.0
-        deg[r] = (p.boundary(r) + below + p.sphere_killing(r)) / p.sphere_measure(r)
+        below = profile_at(p, "boundary", r - 1) if r > 0 else 0.0
+        b, c, m = (profile_at(p, label, r) for label in ("boundary", "killing", "measure"))
+        deg[r] = (b + below + c) / m
     with np.errstate(divide="ignore"):
         return np.maximum(deg[:-1], deg[1:]) ** -0.5
 
 
 def reference_quotient(p, depth):
-    edges = [(r, r + 1, p.boundary(r)) for r in range(depth)]
-    m = [p.sphere_measure(r) for r in range(depth + 1)]
-    c = [p.sphere_killing(r) for r in range(depth + 1)]
+    edges = [(r, r + 1, profile_at(p, "boundary", r)) for r in range(depth)]
+    m = [profile_at(p, "measure", r) for r in range(depth + 1)]
+    c = [profile_at(p, "killing", r) for r in range(depth + 1)]
     return WeightedGraph(depth + 1, edges, m, c)
 
 
@@ -210,14 +212,14 @@ def reference_harmonic(p, alpha, u0, depth):
     acc_l1 = acc_l2 = acc_energy = 0.0
     with np.errstate(all="ignore"):
         for r in range(depth + 1):
-            m_r = p.sphere_measure(r)
-            c_r = p.sphere_killing(r)
+            m_r = profile_at(p, "measure", r)
+            c_r = profile_at(p, "killing", r)
             acc_l1 += u[r] * m_r
             acc_l2 += u[r] ** 2 * m_r
             l1[r], l2[r] = acc_l1, acc_l2
             if r == depth:
                 break
-            b_r = p.boundary(r)
+            b_r = profile_at(p, "boundary", r)
             if not b_r > 0:
                 raise StructuralError(f"layer boundary weight dB({r}) = {b_r} is not positive")
             drive += (c_r + alpha * m_r) * u[r]

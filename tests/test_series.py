@@ -59,6 +59,7 @@ from formuniq.series import (
     tail_sum_exact,
     verdict_bundle,
 )
+from scalar_reference import profile_at, seq_at
 
 
 def chain_profile(b, m, c=None, count=None, **tails):
@@ -78,8 +79,8 @@ def chain_profile(b, m, c=None, count=None, **tails):
 
 def test_tail_values_follow_closed_form():
     t = PowerGeomTail(3.0, 2.0, 0.5)
-    for r in (0, 1, 5):
-        assert t.value(r) == pytest.approx(3.0 * (r + 1) ** 2 * 0.5**r)
+    want = [3.0 * (r + 1) ** 2 * 0.5**r for r in (0, 1, 5)]
+    assert t.values(np.array([0, 1, 5])).tolist() == pytest.approx(want)
     assert "0.5^r" in t.describe()
 
 
@@ -100,9 +101,29 @@ def test_seqspec_is_the_tail_type():
 
 
 def test_value_is_inf_past_the_float_range():
-    assert PowerGeomTail(1, 0, 2).value(2000) == math.inf
     assert PowerGeomTail(1, 0, 2).values(np.array([2000])).tolist() == [math.inf]
-    assert PowerGeomTail(0, 0, 2).value(2000) == 0.0
+    assert PowerGeomTail(0, 0, 2).values(np.array([2000])).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("power,ratio", [(200.0, 0.01), (-200.0, 100.0)])
+def test_values_fit_where_one_factor_leaves_the_float_range(power, ratio):
+    # at r = 170 one of (r+1)^p and rho^r overflows and the other
+    # underflows, yet the product is about 1e106 or 1e-106
+    t = PowerGeomTail(1.5, power, ratio, overrides=((170, 7.0),))
+    r = np.array([60, 170, 171, 250, 2000])
+    with mp.workdps(30):
+        want = [float(1.5 * mp.mpf(k + 1) ** power * mp.mpf(ratio) ** k) for k in r.tolist()]
+    want[1] = 7.0
+    assert t.values(r) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert want[-1] in (0.0, math.inf)
+    assert 1e100 < want[2] or want[2] < 1e-100
+
+
+def test_chain_whose_terms_fit_builds():
+    fam = birth_death(SeqSpec(1, 200, 0.01), 1.0)
+    b = fam.profile.boundary_prefix
+    assert np.all(np.isfinite(b)) and 1e242 < b.max() < 1e243
+    assert fam.build(319).graph.edge_w.tolist() == b[:319].tolist()
 
 
 @pytest.mark.parametrize(
@@ -220,11 +241,12 @@ def test_tail_convergence_table(tail, expected):
 def test_tail_algebra_pointwise():
     a = PowerGeomTail(2.0, 1.0, 0.5)
     b = PowerGeomTail(3.0, -2.0, 1.25)
-    for r in (0, 2, 7):
-        assert tail_mul(a, b).value(r) == pytest.approx(a.value(r) * b.value(r))
-        assert tail_reciprocal(a).value(r) == pytest.approx(1.0 / a.value(r))
-        assert tail_square(b).value(r) == pytest.approx(b.value(r) ** 2)
-        assert tail_sqrt(a).value(r) == pytest.approx(math.sqrt(a.value(r)))
+    r = np.array([0, 2, 7])
+    av, bv = a.values(r), b.values(r)
+    assert tail_mul(a, b).values(r) == pytest.approx(av * bv)
+    assert tail_reciprocal(a).values(r) == pytest.approx(1.0 / av)
+    assert tail_square(b).values(r) == pytest.approx(bv**2)
+    assert tail_sqrt(a).values(r) == pytest.approx(np.sqrt(av))
     assert tail_mul(a, None) is None
     with pytest.raises(ValueError):
         tail_reciprocal(PowerGeomTail(0.0))
@@ -234,12 +256,14 @@ def test_tail_shift_is_asymptotic():
     # shifting scales the coefficient by ratio^k and keeps power/ratio;
     # for power = 0 that is exact, otherwise exact in the limit
     geom = PowerGeomTail(2.0, 0.0, 0.5)
-    assert tail_shift(geom, 3).value(4) == pytest.approx(geom.value(7))
+    assert tail_shift(geom, 3).values(np.array([4])) == pytest.approx(geom.values(np.array([7])))
     mixed = PowerGeomTail(1.0, 2.0, 1.5)
     s = tail_shift(mixed, 2)
     assert (s.power, s.ratio) == (mixed.power, mixed.ratio)
     assert s.coeff == pytest.approx(mixed.coeff * 1.5**2)
-    assert s.value(1000) / mixed.value(1002) == pytest.approx(1.0, rel=1e-2)
+    assert s.values(np.array([1000]))[0] / mixed.values(np.array([1002]))[0] == pytest.approx(
+        1.0, rel=1e-2
+    )
 
 
 def test_tail_add_keeps_dominant_class():
@@ -256,22 +280,23 @@ def test_cumsum_class_tracks_partial_sums():
     # divergent geometric: partial sums grow like the terms
     g = PowerGeomTail(1.0, 0.0, 2.0)
     cg = tail_cumsum_class(g)
-    sums = np.cumsum([g.value(r) for r in range(40)])
+    sums = np.cumsum([seq_at(g, r) for r in range(40)])
     assert cg.ratio == 2.0
-    assert sums[-1] / cg.value(39) == pytest.approx(1.0, rel=1e-6)
+    assert sums[-1] / cg.values(np.array([39]))[0] == pytest.approx(1.0, rel=1e-6)
     # divergent power: exponent goes up by one
     p = PowerGeomTail(1.0, 1.0, 1.0)
     cp = tail_cumsum_class(p)
     assert (cp.ratio, cp.power) == (1.0, 2.0)
     # convergent: constant class
-    assert tail_cumsum_class(PowerGeomTail(1.0, 0.0, 0.5), total=2.0).value(10) == 2.0
+    const = tail_cumsum_class(PowerGeomTail(1.0, 0.0, 0.5), total=2.0)
+    assert const.values(np.array([10])).tolist() == [2.0]
 
 
 def test_complement_class_matches_brute_force():
     t = PowerGeomTail(3.0, 0.0, 0.5)
     comp = tail_complement_class(t)
-    brute = sum(t.value(k) for k in range(11, 200))
-    assert comp.value(10) == pytest.approx(brute, rel=1e-9)
+    brute = sum(seq_at(t, k) for k in range(11, 200))
+    assert comp.values(np.array([10]))[0] == pytest.approx(brute, rel=1e-9)
     with pytest.raises(ValueError):
         tail_complement_class(PowerGeomTail(1.0, 2.0, 1.0))
 
@@ -282,12 +307,12 @@ def test_tail_sum_exact_geometric_and_power():
     assert tail_sum_exact(g, 3) == pytest.approx(3.0 * 0.5**3 * 2.0, rel=1e-12)
     p = PowerGeomTail(1.0, -2.0, 1.0)
     assert tail_sum_exact(p) == pytest.approx(math.pi**2 / 6, rel=1e-12)
-    brute = sum(p.value(r) for r in range(5, 4000)) + 1.0 / 4001  # integral tail bound
+    brute = sum(seq_at(p, r) for r in range(5, 4000)) + 1.0 / 4001  # integral tail bound
     assert tail_sum_exact(p, 5) == pytest.approx(brute, rel=1e-3)
     assert tail_sum_exact(PowerGeomTail(1.0, 1.0, 1.0)) == math.inf
     # a geometric tail with a polynomial factor exercises the general branch
     mix = PowerGeomTail(2.0, 1.5, 0.75)
-    brute = sum(mix.value(r) for r in range(2, 600))
+    brute = sum(seq_at(mix, r) for r in range(2, 600))
     assert tail_sum_exact(mix, 2) == pytest.approx(brute, rel=1e-12)
 
 
@@ -357,14 +382,12 @@ def test_profile_accessors_cross_prefix_boundary():
         measure_tail=PowerGeomTail(1.0, 0.0, 0.5),
     )
     assert p.prefix_len == 2
-    assert p.boundary(1) == 2.0  # prefix value
-    assert p.boundary(5) == 32.0  # tail value
-    assert p.sphere_measure(5) == 0.5**5
-    assert p.sphere_killing(5) == 0.0
-    assert p.sphere_count(5) == 1.0
+    assert p.values("boundary", 6)[1] == 2.0  # prefix value
+    assert p.values("boundary", 6)[5] == 32.0  # tail value
+    assert p.values("measure", 6)[5] == 0.5**5
+    assert p.values("killing", 6)[5] == 0.0
+    assert p.values("count", 6)[5] == 1.0
     assert p.is_birth_death and p.killing_is_zero
-    with pytest.raises(ValueError):
-        p.boundary(-1)
 
 
 def test_profile_validation():
@@ -406,9 +429,9 @@ def test_custom_tail_stops_values():
         boundary_tail=CustomTail(None),
         measure_tail=PowerGeomTail(1.0),
     )
-    assert p.boundary(2) == 1.0
+    assert p.values("boundary", 3)[2] == 1.0
     with pytest.raises(StructuralError, match="custom tail"):
-        p.boundary(3)
+        p.values("boundary", 4)
     assert p.value_depth("boundary") == 3
     assert p.value_depth("measure") == math.inf
     assert not p.is_birth_death or p.count_tail  # count still closed form
@@ -462,12 +485,12 @@ def brute_partial_sums(p, kind, depth=200):
 
 
 def scalar_terms(p, kind, n):
-    """The first ``n`` series terms, one radius at a time from the scalar
-    accessors: the reference for the array expressions."""
+    """The first ``n`` series terms, one radius at a time from the
+    per-radius reference reads: the reference for the array expressions."""
     interchange = not math.isfinite(p.total_measure())
     out, cm, cmc, inv = [], 0.0, 0.0, 0.0
     for r in range(n):
-        b, m, c = p.boundary(r), p.sphere_measure(r), p.sphere_killing(r)
+        b, m, c = (profile_at(p, label, r) for label in ("boundary", "measure", "killing"))
         inv_before, cm, cmc, inv = inv, cm + m, cmc + m + c, inv + 1.0 / b
         out.append({
             SeriesKind.RESISTANCE: 1.0 / b,
@@ -478,7 +501,7 @@ def scalar_terms(p, kind, n):
             ),
             SeriesKind.ENERGY_WEIGHT: cm**2 / b,
             SeriesKind.BOUNDED_HARMONIC: cmc / b,
-            SeriesKind.HAMBURGER: inv**2 * p.sphere_measure(r + 1),
+            SeriesKind.HAMBURGER: inv**2 * profile_at(p, "measure", r + 1),
         }[kind])
     return np.array(out)
 
@@ -649,10 +672,11 @@ def test_quotient_graph_carries_radial_data():
     g = quotient_graph(p, 4)
     assert g.vertex_count == 5
     assert list(g.edge_u) == [0, 1, 2, 3]
+    boundary, measure = p.values("boundary", 5), p.values("measure", 5)
     for r in range(4):
-        assert g.edge_w[r] == pytest.approx(p.boundary(r))
+        assert g.edge_w[r] == pytest.approx(boundary[r])
     for r in range(5):
-        assert g.measure[r] == pytest.approx(p.sphere_measure(r))
+        assert g.measure[r] == pytest.approx(measure[r])
     with pytest.raises(ValueError):
         quotient_graph(p, 0)
 
@@ -691,4 +715,4 @@ def test_load_profile_from_stream():
     text = format_profile_text(gallery("geometric_chain").profile)
     p = load_profile(io.StringIO(text), name="geo")
     assert p.name == "geo"
-    assert p.boundary(3) == pytest.approx(8.0)
+    assert p.values("boundary", 4)[3] == pytest.approx(8.0)
