@@ -13,6 +13,7 @@ one verdict inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -432,10 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process.  Sharing it
+    is safe: argparse reads the output streams and the terminal width
+    when it prints, not when it is built, no default is mutable, and
+    every parse returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:

@@ -287,15 +287,24 @@ def wss_tree(
 
     def build(depth: int) -> Truncation:
         _check_depth(depth, len(kv))
-        fanout = kv[:depth].astype(np.int64)
-        sizes = np.concatenate(([1], np.cumprod(fanout)))
-        n = int(sizes.sum())
-        # vertex ids run sphere by sphere, so the children of the parents
-        # in id order are the vertices 1, 2, ..., n-1 in id order
-        parent = np.repeat(np.arange(n - sizes[-1]), np.repeat(fanout, sizes[:-1]))
-        edges = np.column_stack((parent, np.arange(1, n), np.ones(n - 1)))
-        g = WeightedGraph(n, edges, measure=np.ones(n))
-        roles, layer = _sphere_roles(sizes)
+        # sphere sizes in Python ints, exact at any depth
+        sizes = [1]
+        for k_r in kv[:depth]:
+            sizes.append(sizes[-1] * int(k_r))
+        n = sum(sizes)
+        too_big = f"a depth-{depth} truncation has {n} vertices"
+        if n * n > np.iinfo(np.int64).max:  # WeightedGraph keys vertex pairs by lo*n+hi
+            raise StructuralError(f"{too_big}: too many to index")
+        fanout, sizes = kv[:depth].astype(np.int64), np.array(sizes, dtype=np.int64)
+        try:
+            # vertex ids run sphere by sphere, so the children of the parents
+            # in id order are the vertices 1, 2, ..., n-1 in id order
+            parent = np.repeat(np.arange(n - sizes[-1]), np.repeat(fanout, sizes[:-1]))
+            edges = np.column_stack((parent, np.arange(1, n), np.ones(n - 1)))
+            g = WeightedGraph(n, edges, measure=np.ones(n))
+            roles, layer = _sphere_roles(sizes)
+        except MemoryError:
+            raise StructuralError(f"{too_big}: not enough memory to build it") from None
         return Truncation(g, 0, depth, roles, layer)
 
     return Family(

@@ -457,7 +457,7 @@ class RadialProfile:
             raise ValueError("measure prefix must be strictly positive")
         if not np.all(cp >= 0):
             raise ValueError("killing prefix must be nonnegative")
-        if not np.all(np_ >= 1) or not np.allclose(np_, np.round(np_)):
+        if not np.all(np_ >= 1) or not np.array_equal(np_, np.round(np_)):
             raise ValueError("count prefix must consist of integers >= 1")
         for tail, label in (
             (self.boundary_tail, "boundary"),
@@ -873,8 +873,34 @@ def series_verdict(p: RadialProfile, kind: SeriesKind) -> Verdict:
     )
 
 
+class _BundleReads(RadialProfile):
+    """A profile whose sequence reads and complement sums are memoised,
+    for the kinds of one verdict bundle: each kind reads the arrays and
+    sums it would read alone, but every ``(label, n)`` and ``(label, r)``
+    is computed once.  Built from a validated profile without
+    validating it again."""
+
+    def __init__(self, p: RadialProfile) -> None:
+        self.__dict__.update(vars(p), _memo={})
+
+    def _memoised(self, read, label: str, arg: int):
+        key = (read.__name__, label, arg)
+        if key not in self._memo:
+            self._memo[key] = read(label, arg)
+        return self._memo[key]
+
+    def values(self, label: str, n: int) -> np.ndarray:
+        arr = self._memoised(super().values, label, n)
+        arr.flags.writeable = False  # shared by every kind of the bundle
+        return arr
+
+    def _beyond(self, label: str, r: int) -> float | None:
+        return self._memoised(super()._beyond, label, r)
+
+
 def verdict_bundle(p: RadialProfile) -> dict[SeriesKind, Verdict]:
-    """Verdicts for every applicable series kind."""
+    """Verdicts for every applicable series kind, equal to
+    :func:`series_verdict` kind by kind, reading each sequence once."""
     kinds = [
         SeriesKind.RESISTANCE,
         SeriesKind.TOTAL_MASS,
@@ -883,6 +909,7 @@ def verdict_bundle(p: RadialProfile) -> dict[SeriesKind, Verdict]:
         SeriesKind.ENERGY_WEIGHT,
         SeriesKind.BOUNDED_HARMONIC,
     ]
+    p = _BundleReads(p)
     out = {k: series_verdict(p, k) for k in kinds}
     if p.is_birth_death and p.killing_is_zero:
         out[SeriesKind.HAMBURGER] = series_verdict(p, SeriesKind.HAMBURGER)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formuniq import WeightedGraph, gallery, load_profile, save_graph, save_profile
-from formuniq.cli import INCONCLUSIVE, INPUT_ERROR, OK, main
+from formuniq import cli
+from formuniq.cli import INCONCLUSIVE, INPUT_ERROR, OK, build_parser, main
 from formuniq.families import WSS_GALLERY, SeqSpec, birth_death
 from formuniq.graph import parse_graph_text
 from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, format_profile_text
@@ -411,3 +412,52 @@ def test_missing_graph_file(capsys):
     code, _, err = run(capsys, "decompose", "--graph", "/nonexistent", "--x1", "0")
     assert code == INPUT_ERROR
     assert "error:" in err
+
+
+# each call of a sequence against its expected exit code; the parser
+# main() keeps from the first call must answer the second as a fresh one
+REUSE_SEQUENCES = [
+    [
+        (["analyze", "--family"], INPUT_ERROR),
+        (["analyze", "--family", "unit_chain"], OK),
+        (["analyze", "--family"], INPUT_ERROR),
+    ],
+    [
+        (["family", "--name", "birth_death", "--params", "b=geom:2", "m=geom:0.5"], OK),
+        (["family", "--name", "unit_chain", "--depth", "3"], OK),
+    ],
+    [
+        (["analyze", "--family", "geometric_chain", "--json"], OK),
+        (["analyze", "--family", "geometric_chain"], OK),
+    ],
+]
+
+
+@pytest.mark.parametrize("calls", REUSE_SEQUENCES)
+def test_reused_parser_answers_as_a_fresh_one(capsys, calls):
+    fresh = []
+    for argv, _ in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [code for _, code in calls]
+    for code, _, err in fresh:
+        assert (code == INPUT_ERROR) == err.startswith("usage: formuniq")
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv, _ in calls] == fresh
+
+
+def test_main_builds_one_parser(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        for calls in REUSE_SEQUENCES:
+            for argv, _ in calls:
+                run(capsys, *argv)
+    cli._parser.cache_clear()
+    assert len(built) == 1

@@ -216,6 +216,13 @@ def test_sequence_overflow_is_reported():
     assert fam.profile.killing_is_zero
 
 
+@pytest.mark.parametrize("depth", [40, 70])
+def test_deep_tree_truncation_is_refused_by_its_vertex_count(depth):
+    n = 2 ** (depth + 1) - 1  # the count alone refuses, before any allocation
+    with pytest.raises(StructuralError, match=f"depth-{depth} truncation has {n} vertices"):
+        gallery("binary_tree").build(depth)
+
+
 def test_sequence_underflow_is_reported():
     with pytest.raises(StructuralError, match="positive"):
         birth_death(1.0, geometric(0.01))

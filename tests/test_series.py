@@ -405,14 +405,15 @@ def test_profile_validation():
             boundary_tail=PowerGeomTail(1.0),
             measure_tail=PowerGeomTail(1.0),
         )
-    with pytest.raises(ValueError, match="integers"):
-        chain_profile(
-            [1.0],
-            [1.0],
-            count=[1.5],
-            boundary_tail=PowerGeomTail(1.0),
-            measure_tail=PowerGeomTail(1.0),
-        )
+    for count in ([1.5], [1.0, 1.000001]):
+        with pytest.raises(ValueError, match="integers"):
+            chain_profile(
+                [1.0] * len(count),
+                [1.0] * len(count),
+                count=count,
+                boundary_tail=PowerGeomTail(1.0),
+                measure_tail=PowerGeomTail(1.0),
+            )
     with pytest.raises(ValueError, match="zero"):
         chain_profile(
             [1.0],
@@ -615,6 +616,37 @@ def test_verdict_bundle_and_consistency():
         assert SeriesKind.RESISTANCE in bundle
         assert (SeriesKind.HAMBURGER in bundle) == p.is_birth_death
         assert bundle_consistency(bundle) == []
+
+
+def random_chain_profile(rng, killing):
+    def seq(lo, hi):
+        return SeqSpec(
+            float(rng.uniform(0.3, 3.0)), float(rng.uniform(-2.0, 2.0)), float(rng.uniform(lo, hi))
+        )
+
+    c = seq(0.5, 1.5) if killing else 0.0
+    return birth_death(seq(0.55, 1.8), seq(0.55, 1.8), c, prefix_len=48).profile
+
+
+def test_verdict_bundle_equals_per_kind_verdicts():
+    # the bundle shares its sequence reads between kinds; every field of
+    # every verdict must be bit for bit what the kind computes alone
+    rng = np.random.default_rng(1212)
+    profiles = [gallery(name).profile for name in WSS_GALLERY]
+    profiles += [random_chain_profile(rng, killing=i % 2 == 1) for i in range(50)]
+    for p in profiles:
+        bundle = verdict_bundle(p)
+        alone = {
+            kind: series_verdict(p, kind)
+            for kind in SeriesKind
+            if kind is not SeriesKind.HAMBURGER or (p.is_birth_death and p.killing_is_zero)
+        }
+        assert list(bundle) == list(alone)
+        for kind, v in bundle.items():
+            w = alone[kind]
+            assert (v.state, v.label, v.reason, v.kind) == (w.state, w.label, w.reason, w.kind)
+            assert v.sample_depths == w.sample_depths
+            assert np.array(v.partial_sums).tobytes() == np.array(w.partial_sums).tobytes()
 
 
 def test_bundle_consistency_flags_fabricated_contradiction():
