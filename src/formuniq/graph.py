@@ -19,6 +19,7 @@ Vertex functions are plain numpy arrays indexed by vertex id.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -308,11 +309,89 @@ def induced_subgraph(
 #   V <id> <m> <c>
 #   E <id1> <id2> <b>
 # '#' starts a comment; blank lines are ignored.  Vertex ids must form
-# the contiguous range 0..n-1.
+# the contiguous range 0..n-1.  The layout format_graph_text writes is
+# read a column at a time, any other text line by line.
 # ---------------------------------------------------------------------------
 
 
 def parse_graph_text(text: str) -> WeightedGraph:
+    g = _parse_columns(text)
+    return _parse_lines(text) if g is None else g
+
+
+#: characters per run of whole lines that :func:`_parse_columns` splits
+#: at once; a run's tokens take a few times its size in memory
+_RUN_CHARS = 1 << 20
+#: every character of the layout :func:`format_graph_text` writes.  A
+#: value token of these reads the same with numpy as with ``float()``.
+_LAYOUT_CHARS = b"VE0123456789.e+- \n"
+_POW10 = 10.0 ** np.arange(1, 17)
+
+
+def _parse_columns(text: str) -> WeightedGraph | None:
+    """The graph of ``text`` read a column at a time, or None.
+
+    Takes the layout :func:`format_graph_text` writes: one record of
+    four tokens on every line, all ``V`` records first with the ids
+    ``0..n-1`` in order, then the ``E`` records with plain decimal ids,
+    each line ending in a newline.  Any other text, and any text that
+    :func:`_parse_lines` would refuse, gives None, and that loop then
+    reads it from the start and words its errors.
+
+    A line start is never an id or a number, so when a run of ``L``
+    lines of one kind splits into ``4 L`` tokens with that kind at every
+    fourth, every line holds one record of four tokens; a ``V`` line
+    after the first ``E`` line fails that count.
+    """
+    if not (text.isascii() and text.endswith("\n") and text[0] == "V"):
+        return None
+    lines = text.count("\n")
+    if text.count("\nV") + text.count("\nE") != lines - 1:
+        return None
+    split = text.find("\nE") + 1 or len(text)
+    n = text.count("\n", 0, split)
+    measure, killing = np.empty(n), np.empty(n)
+    edges = np.empty((lines - n, 3))
+    id_chars = 0
+    try:
+        for kind, start, stop in (("V", 0, split), ("E", split, len(text))):
+            row = 0
+            while start < stop:
+                end = text.find("\n", start + _RUN_CHARS, stop) + 1 or stop
+                run = text[start:end]
+                tok, count = run.split(), run.count("\n")
+                if (
+                    len(tok) != 4 * count
+                    or tok[0::4].count(kind) != count
+                    or run.encode("ascii").translate(None, _LAYOUT_CHARS)
+                ):
+                    return None
+                rows = slice(row, row + count)
+                if kind == "V":
+                    if tok[1::4] != list(map(str, range(row, row + count))):
+                        return None
+                    measure[rows] = np.array(tok[2::4], dtype=float)
+                    killing[rows] = np.array(tok[3::4], dtype=float)
+                else:
+                    ids = "".join(tok[1::4]) + "".join(tok[2::4])
+                    if not ids.isdigit():
+                        return None
+                    id_chars += len(ids)
+                    for k in range(3):
+                        edges[rows, k] = np.array(tok[k + 1 :: 4], dtype=float)
+                start, row = end, row + count
+        # as many id characters as digits: no leading zeros, so no id is
+        # too long for int()
+        digits = edges[:, :2].size + np.searchsorted(_POW10, edges[:, :2], "right").sum()
+        if id_chars != digits:
+            return None
+        return WeightedGraph(n, edges, measure, killing)
+    except ValueError:
+        return None
+
+
+def _parse_lines(text: str) -> WeightedGraph:
+    """The line by line reader: every text, and every parse error."""
     measures: dict[int, float] = {}
     killings: dict[int, float] = {}
     edges: list[tuple[int, int, float]] = []
@@ -359,15 +438,23 @@ def parse_graph_text(text: str) -> WeightedGraph:
 
 def format_graph_text(g: WeightedGraph) -> str:
     # tolist() hands out Python ints and floats, whose str and repr are
-    # those of the numpy scalars, without a conversion per field
-    lines = [
-        f"V {i} {m!r} {c!r}"
-        for i, (m, c) in enumerate(zip(g.measure.tolist(), g.killing.tolist()))
-    ]
-    lines += [
-        f"E {u} {v} {w!r}"
-        for u, v, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist())
-    ]
+    # those of the numpy scalars; each id is written once and looked up
+    ids = list(map(str, range(g.vertex_count)))
+    lines = list(
+        map(
+            " ".join,
+            zip(repeat("V"), ids, map(repr, g.measure.tolist()), map(repr, g.killing.tolist())),
+        )
+    )
+    lines += map(
+        " ".join,
+        zip(
+            repeat("E"),
+            map(ids.__getitem__, g.edge_u.tolist()),
+            map(ids.__getitem__, g.edge_v.tolist()),
+            map(repr, g.edge_w.tolist()),
+        ),
+    )
     return "\n".join(lines) + "\n"
 
 

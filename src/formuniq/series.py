@@ -1070,7 +1070,7 @@ def _format_tail(t: TailModel) -> str:
 
 def parse_profile_text(text: str, name: str = "") -> RadialProfile:
     section = None
-    prefixes: dict[str, list[float]] = {}
+    prefixes: dict[str, np.ndarray] = {}
     tails: dict[str, TailModel] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -1092,7 +1092,7 @@ def parse_profile_text(text: str, name: str = "") -> RadialProfile:
             if section == "prefix":
                 if key in prefixes:
                     raise ValueError(f"duplicate prefix for {key}")
-                prefixes[key] = [float(v) for v in value.split()]
+                prefixes[key] = np.array(value.split(), dtype=float)
             else:
                 if key in tails:
                     raise ValueError(f"duplicate tail for {key}")
@@ -1108,10 +1108,10 @@ def parse_profile_text(text: str, name: str = "") -> RadialProfile:
         raise GraphFormatError(f"missing [tail] entries: {', '.join(missing)}")
     try:
         return RadialProfile(
-            boundary_prefix=np.array(prefixes["boundary"]),
-            measure_prefix=np.array(prefixes["sphere_m"]),
-            killing_prefix=np.array(prefixes["sphere_c"]),
-            count_prefix=np.array(prefixes["sphere_count"]),
+            boundary_prefix=prefixes["boundary"],
+            measure_prefix=prefixes["sphere_m"],
+            killing_prefix=prefixes["sphere_c"],
+            count_prefix=prefixes["sphere_count"],
             boundary_tail=tails["boundary"],
             measure_tail=tails["sphere_m"],
             killing_tail=tails["sphere_c"],

@@ -176,17 +176,17 @@ def test_induced_subgraph_keeps_weights():
 
 def test_text_round_trip():
     g = WeightedGraph(
-        3,
-        [(0, 1, 0.125), (1, 2, 3.0000000001)],
-        [1.0, 0.5, 2.0],
-        [0.0, 1.25, 0.0],
+        12,
+        [(0, 1, 0.125), (1, 2, 3.0000000001), (2, 11, 1e22), (10, 3, 5e-324)],
+        [1.0, 0.5, 2.0, float("inf"), 5e-324, 1e16, 0.1 + 0.2, 1e22, 1.0, 1.0, 1.0, 7.0],
+        [0.0, 1.25, -0.0, 0.0, 1e16, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1 + 0.2, 0.0],
     )
     text = format_graph_text(g)
+    assert "E 2 11 1e+22\n" in text and "V 2 2.0 -0.0\n" in text
     h = parse_graph_text(text)
-    assert h.vertex_count == 3
-    assert np.array_equal(h.measure, g.measure)
-    assert np.array_equal(h.killing, g.killing)
-    assert np.array_equal(h.edge_w, g.edge_w)
+    assert h.vertex_count == 12
+    for a in ("measure", "killing", "edge_u", "edge_v", "edge_w"):
+        assert getattr(h, a).tobytes() == getattr(g, a).tobytes()  # -0.0 included
 
 
 def test_parse_rejects_malformed_input():

@@ -741,6 +741,13 @@ def test_profile_parse_errors_carry_line_numbers():
     bad = good.replace("rho=1.0", "rho=frog", 1)
     with pytest.raises(GraphFormatError):
         parse_profile_text(bad)
+    # a prefix value float() refuses, worded as float() words it
+    for value in ("abc", "1,5"):
+        bad = good.replace("sphere_m = 1.0", f"sphere_m = 1.0 {value}", 1)
+        with pytest.raises(GraphFormatError) as exc:
+            parse_profile_text(bad)
+        # the name, [prefix] and boundary come first
+        assert str(exc.value) == f"line 4: could not convert string to float: '{value}'"
 
 
 def test_load_profile_from_stream():
