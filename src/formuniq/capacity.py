@@ -338,6 +338,19 @@ def _classify(values: list[float]) -> tuple[float | None, str]:
     return None, "undecided"
 
 
+def _check_depths(depths: Sequence[int]) -> None:
+    """Depths name shrinking nested neighborhoods, so they must be
+    non-empty, positive and strictly increasing."""
+    if not depths:
+        raise ValueError("need at least one depth")
+    if any(d < 1 for d in depths):
+        raise ValueError("depths must be positive")
+    if any(nxt <= prev for prev, nxt in zip(depths, depths[1:])):
+        raise ValueError(
+            f"depths must be strictly increasing, got {','.join(map(str, depths))}"
+        )
+
+
 def _check_nonincreasing(values: Sequence[float]) -> None:
     for prev, nxt in zip(values, values[1:]):
         if nxt > prev * (1 + 1e-9) + 1e-12:
@@ -364,10 +377,7 @@ def profile_boundary_capacity(
     (dB(r-1) s_{r-1} is edge and inner ball in series).  Every term is
     positive, so the loop neither cancels nor overflows.
     """
-    if not depths:
-        raise ValueError("need at least one depth")
-    if any(d < 1 for d in depths):
-        raise ValueError("depths must be positive")
+    _check_depths(depths)
     name = name or p.name
     reach = radial_boundary_reach(p)
     if reach.finite is None:
@@ -419,6 +429,7 @@ def profile_boundary_capacity(
 
 
 def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
+    _check_depths(depths)
     depth = max(depths)
     base = family.build(depth)
     deeper = family.build(depth + max(4, depth // 4))
@@ -480,12 +491,8 @@ def boundary_capacity_estimate(family: Family, depths: Sequence[int]) -> Capacit
     mass); other families get truncation-backed estimates at a scale
     that halves per entry of ``depths``, starting from a quarter of the
     largest sigma-distance to the rim, with a deepening stability check
-    at each scale.
+    at each scale.  ``depths`` must be positive and strictly increasing.
     """
-    if not depths:
-        raise ValueError("need at least one depth")
-    if any(d < 1 for d in depths):
-        raise ValueError("depths must be positive")
     if family.profile is not None:
         return profile_boundary_capacity(family.profile, depths, name=family.name)
     return _vertex_route(family, depths)

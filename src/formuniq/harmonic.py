@@ -279,47 +279,23 @@ def _lp_verdict(
     partials: tuple[float, ...],
     depths: tuple[int, ...],
 ) -> Verdict:
-    label = f"solution lies in {p_label} (measure-weighted)"
     if measure_finite is None:
-        return Verdict(
+        state, reason = VerdictState.INCONCLUSIVE, "total measure undecidable"
+    elif not measure_finite:
+        state, reason = VerdictState.FAILS, "u >= u(0) > 0 against infinite total measure"
+    elif bounded.holds:
+        state, reason = VerdictState.HOLDS, "bounded solution over finite total measure"
+    elif bounded.fails:
+        state, reason = (
             VerdictState.INCONCLUSIVE,
-            label,
-            "total measure undecidable",
-            kind=p_label,
-            sample_depths=depths,
-            partial_sums=partials,
-        )
-    if not measure_finite:
-        return Verdict(
-            VerdictState.FAILS,
-            label,
-            "u >= u(0) > 0 against infinite total measure",
-            kind=p_label,
-            sample_depths=depths,
-            partial_sums=partials,
-        )
-    if bounded.holds:
-        return Verdict(
-            VerdictState.HOLDS,
-            label,
-            "bounded solution over finite total measure",
-            kind=p_label,
-            sample_depths=depths,
-            partial_sums=partials,
-        )
-    if bounded.fails:
-        return Verdict(
-            VerdictState.INCONCLUSIVE,
-            label,
             "unbounded solution over finite total measure: growth race undecided",
-            kind=p_label,
-            sample_depths=depths,
-            partial_sums=partials,
         )
+    else:
+        state, reason = VerdictState.INCONCLUSIVE, "boundedness undecided"
     return Verdict(
-        VerdictState.INCONCLUSIVE,
-        label,
-        "boundedness undecided",
+        state,
+        f"solution lies in {p_label} (measure-weighted)",
+        reason,
         kind=p_label,
         sample_depths=depths,
         partial_sums=partials,

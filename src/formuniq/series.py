@@ -172,7 +172,20 @@ def parse_seq(text: str) -> PowerGeomTail:
         nums = [float(f) for f in fields]
     except ValueError:
         raise ValueError(f"bad sequence descriptor {text!r}: expected {_SEQ_FORMS}") from None
+    try:
+        _check_finite(zip(("C", "p", "rho"), nums))
+    except ValueError as exc:
+        raise ValueError(f"bad sequence descriptor {text!r}: {exc}") from None
     return PowerGeomTail(*nums)
+
+
+def _check_finite(fields) -> None:
+    """Refuse nan and +-inf among the ``(name, value)`` pairs of a closed
+    form.  Parsers call this, not :class:`PowerGeomTail`: the tail algebra
+    legitimately carries coefficients that left the float range."""
+    for name, value in fields:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1059,6 +1072,7 @@ def _parse_tail(text: str) -> TailModel:
         vals[k] = float(v)
     if "C" not in vals:
         raise ValueError("tail needs at least C=")
+    _check_finite(vals.items())
     return PowerGeomTail(vals["C"], vals.get("p", 0.0), vals.get("rho", 1.0))
 
 

@@ -209,54 +209,44 @@ def _crossing_degree_classes(family: Family) -> list[tuple[str, object]] | None:
     return None
 
 
-def family_boundary_degree(
-    family: Family, depths: Sequence[int] = (8, 16, 32)
-) -> BoundaryDegreeReport:
+def _crossing_degree_decision(family: Family) -> tuple[bool | None, str]:
+    """Exact boundedness of Deg_b from the closed-form classes, with its
+    reason; None for a family kind without closed forms."""
+    classes = _crossing_degree_classes(family)
+    if classes is None:
+        return None, f"no closed-form crossing degree for family kind {family.kind!r}"
+    culprit = next((lbl for lbl, t in classes if not tail_bounded(t)), None)
+    if culprit is not None:
+        return False, f"closed form: {culprit} is unbounded"
+    if not classes:
+        return True, "X1 is finite: finitely many crossing edges"
+    return True, "closed form: every crossing-degree sequence is bounded"
+
+
+# truncation depths whose crossing-degree maxima the reports print
+_BOUNDARY_DEPTHS = (8, 16, 32)
+
+
+def family_boundary_degree(family: Family) -> BoundaryDegreeReport:
     """Boundedness of Deg_b for a family's canonical decomposition.
 
-    Uses the closed-form crossing-degree sequences when the family kind
-    has them (exact); otherwise reports the max over truncations and
-    the trend across the given depths.
+    The decision comes from the closed-form crossing-degree sequences;
+    the reported max is the largest Deg_b over the depth 8, 16 and 32
+    truncations.
     """
     if not family.x1_role:
         raise PreconditionError(
             f"family {family.name!r} has no canonical decomposition"
         )
-    classes = _crossing_degree_classes(family)
-    maxima = []
+    bounded, detail = _crossing_degree_decision(family)
     worst = (-1.0, -1)
-    for d in sorted(depths):
+    for d in _BOUNDARY_DEPTHS:
         trunc = family.build(d)
         dec = decompose(trunc.graph, _family_x1(trunc, family.x1_role))
         rep = boundary_degree_bounded(dec)
-        maxima.append(rep.max_value)
         if rep.max_value > worst[0]:
             worst = (rep.max_value, rep.argmax)
-    if classes is not None:
-        verdicts = [tail_bounded(t) for _, t in classes]
-        if all(v is True for v in verdicts):
-            detail = (
-                "X1 is finite: finitely many crossing edges"
-                if not classes
-                else "closed form: every crossing-degree sequence is bounded"
-            )
-            return BoundaryDegreeReport(worst[0], worst[1], True, detail)
-        if any(v is False for v in verdicts):
-            culprit = next(lbl for (lbl, t), v in zip(classes, verdicts) if v is False)
-            return BoundaryDegreeReport(
-                worst[0], worst[1], False, f"closed form: {culprit} is unbounded"
-            )
-        return BoundaryDegreeReport(worst[0], worst[1], None, "closed form undecided")
-    # trend: growth by more than 5% per doubling reads as unbounded
-    if len(maxima) >= 2 and maxima[-1] > maxima[0] * 1.05:
-        return BoundaryDegreeReport(
-            worst[0], worst[1], None,
-            f"max grows with depth ({maxima[0]:.6g} -> {maxima[-1]:.6g}): unbounded trend",
-        )
-    return BoundaryDegreeReport(
-        worst[0], worst[1], None,
-        f"max stable across depths ({maxima[-1]:.6g}) but only finite evidence",
-    )
+    return BoundaryDegreeReport(worst[0], worst[1], bounded, detail)
 
 
 def _family_x1(trunc: Truncation, role: str) -> np.ndarray:
@@ -371,7 +361,6 @@ def symmetric_ends_verdict(
     each end's boundary capacity (positive-finite exactly on the
     failing ends).
     """
-    label = "form uniqueness (symmetric ends)"
     if not family.end_profiles:
         raise PreconditionError(
             f"family {family.name!r} does not expose symmetric ends"
@@ -393,38 +382,30 @@ def symmetric_ends_verdict(
 
     hypotheses_met = x1_ok is True and boundary.bounded is True
     if x1_ok is False:
-        verdict = Verdict(
-            VerdictState.INCONCLUSIVE, label,
-            f"hypothesis unmet: {x1_detail}", kind="form_uniqueness",
-        )
+        state, reason = VerdictState.INCONCLUSIVE, f"hypothesis unmet: {x1_detail}"
     elif not hypotheses_met:
         missing = []
         if x1_ok is not True:
             missing.append(f"X1 form uniqueness ({x1_detail})")
         if boundary.bounded is not True:
             missing.append(f"bounded crossing degree ({boundary.detail})")
-        verdict = Verdict(
-            VerdictState.INCONCLUSIVE, label,
-            "hypothesis unmet: " + "; ".join(missing), kind="form_uniqueness",
-        )
+        state, reason = VerdictState.INCONCLUSIVE, "hypothesis unmet: " + "; ".join(missing)
     elif any(e.fails for e in ends):
         culprit = next(e.name for e in ends if e.fails)
-        verdict = Verdict(
-            VerdictState.FAILS, label,
+        state, reason = (
+            VerdictState.FAILS,
             f"end {culprit} has finite total mass and summable resistance",
-            kind="form_uniqueness",
         )
     elif any(e.fails is None for e in ends):
-        verdict = Verdict(
-            VerdictState.INCONCLUSIVE, label,
-            "some end's series verdicts are undecided", kind="form_uniqueness",
-        )
+        state, reason = VerdictState.INCONCLUSIVE, "some end's series verdicts are undecided"
     else:
-        verdict = Verdict(
-            VerdictState.HOLDS, label,
+        state, reason = (
+            VerdictState.HOLDS,
             "every end has infinite total mass or divergent resistance",
-            kind="form_uniqueness",
         )
+    verdict = Verdict(
+        state, "form uniqueness (symmetric ends)", reason, kind="form_uniqueness"
+    )
     return EndsReport(
         family.name, x1_detail, boundary, hypotheses_met, tuple(ends), verdict
     )
@@ -537,17 +518,26 @@ def _check_hypotheses(family: Family) -> list[str]:
     )
 
 
-def _solve_example(family: Family, trunc: Truncation, alpha: float) -> np.ndarray:
-    """Positive solution of (L + alpha) u = 0 anchored at the chain start.
+# per replayable kind: the anchor rail, the rail attached to it, and
+# the parameter weighting the edges between the two (the witness edges)
+_REPLAY_RAILS = {
+    "pendant": ("chain", "pendant", "vertical_b"),
+    "star": ("chain", "pendant", "vertical_b"),
+    "ladder": ("x", "y", "xy_b"),
+}
 
-    The equation is imposed everywhere except the outermost chain
-    vertex, which acts as a free boundary; on these examples the
+
+def _solve_example(trunc: Truncation, alpha: float, rail: str) -> np.ndarray:
+    """Positive solution of (L + alpha) u = 0 anchored at the start of
+    ``rail``.
+
+    The equation is imposed everywhere except the outermost vertex of
+    the rail, which acts as a free boundary; on these examples the
     resulting function is the truncation's unique positive candidate.
     """
     g = trunc.graph
-    rail0 = "chain" if family.kind in ("pendant", "star") else "x"
-    rim = trunc.find_role(f"{rail0}:{trunc.depth}")
-    anchor = trunc.find_role(f"{rail0}:0")
+    rim = trunc.find_role(f"{rail}:{trunc.depth}")
+    anchor = trunc.find_role(f"{rail}:0")
     interior = np.delete(np.arange(g.vertex_count), rim)
     u = truncated_dirichlet_solve(g, alpha, (anchor, 1.0), interior=interior)
     if u.min() <= 0:
@@ -596,10 +586,8 @@ def analyze_instability_example(
     if sorted(depths) != list(depths) or len(depths) < 2:
         raise ValueError("depths must be increasing, at least two")
     floor_val = 1e-6 if floor is None else floor  # u(anchor) = 1 by anchoring
-    p = family.params
-    rail0 = "chain" if family.kind in ("pendant", "star") else "x"
-    attach = "pendant" if family.kind in ("pendant", "star") else "y"
-    weight = p["vertical_b"] if family.kind in ("pendant", "star") else p["xy_b"]
+    rail0, attach, weight_key = _REPLAY_RAILS[family.kind]
+    weight = family.params[weight_key]
 
     rows = []
     notes: list[str] = []
@@ -609,7 +597,7 @@ def analyze_instability_example(
     pattern_all = True
     for depth in depths:
         trunc = family.build(depth)
-        u = _solve_example(family, trunc, alpha)
+        u = _solve_example(trunc, alpha, rail0)
         # the last quarter of the truncation feels the free boundary;
         # patterns and energies are read inside the remaining window
         window = max(2, (3 * depth) // 4)
@@ -649,29 +637,26 @@ def analyze_instability_example(
                 )
         prev = (window, witness)
 
-    boundary = family_boundary_degree(family)
-    if boundary.bounded is False:
+    bounded, detail = _crossing_degree_decision(family)
+    if bounded is False:
         notes.append(
-            f"crossing degree unbounded ({boundary.detail}): the bounded-"
+            f"crossing degree unbounded ({detail}): the bounded-"
             "gluing equivalence does not apply; this analysis replaces it"
         )
 
     diverges = increments_ok and growth_ok and pattern_all
     if diverges:
-        verdict = Verdict(
+        state, reason = (
             VerdictState.HOLDS,
-            "form uniqueness (glued graph)",
             "every positive harmonic candidate accrues unbounded energy "
             "along the designated edges",
-            kind="form_uniqueness",
         )
     else:
-        verdict = Verdict(
+        state, reason = (
             VerdictState.INCONCLUSIVE,
-            "form uniqueness (glued graph)",
             "numeric replay did not certify the divergence witness",
-            kind="form_uniqueness",
         )
+    verdict = Verdict(state, "form uniqueness (glued graph)", reason, kind="form_uniqueness")
     return InstabilityReport(
         family=family.name,
         kind=family.kind,

@@ -19,6 +19,7 @@ from formuniq import (
     gallery,
     profile_boundary_capacity,
     radial_boundary_reach,
+    symmetric_ends_verdict,
 )
 from formuniq.capacity import (
     EdgeLengths,
@@ -311,6 +312,28 @@ def test_capacity_depth_validation():
         boundary_capacity_estimate(fam, ())
     with pytest.raises(ValueError, match="positive"):
         boundary_capacity_estimate(fam, (0, 4))
+
+
+@pytest.mark.parametrize("depths", [(300, 300), (300, 200), (8, 16, 16), (32, 8)])
+@pytest.mark.parametrize("route", ["profile", "vertex"])
+def test_capacity_depths_must_strictly_increase(depths, route):
+    # a repeated depth once read one neighbourhood twice as a converged
+    # pair (positive-finite where form uniqueness holds), and a decreasing
+    # pair was reported as capacity growing along shrinking neighbourhoods
+    if route == "profile":
+        fam = birth_death(PowerGeomTail(1, 4, 0.9), PowerGeomTail(1, 0, 0.5))
+    else:
+        fam = gallery("pendant_boundary")
+    with pytest.raises(ValueError) as exc:
+        boundary_capacity_estimate(fam, depths)
+    assert str(exc.value) == (
+        f"depths must be strictly increasing, got {','.join(map(str, depths))}"
+    )
+
+
+def test_ends_capacity_depths_share_the_depth_rule():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        symmetric_ends_verdict(gallery("bilateral_mixed"), capacity_depths=(16, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,51 @@ def test_capacity_bad_depths(capsys):
     assert "integer list" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("capacity", "--family", "geometric_chain", "--depths", "32,8"),
+        ("capacity", "--family", "pendant_boundary", "--depths", "8,8"),
+        ("ends", "--family", "bilateral_mixed", "--capacity-depths", "16,8"),
+    ],
+)
+def test_capacity_depths_out_of_order_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == INPUT_ERROR
+    assert out == ""
+    assert err == f"error: depths must be strictly increasing, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "tail,message",
+    [
+        ("C=1 p=0 rho=nan", "rho must be finite, got nan"),
+        # an infinite coefficient once read as transient: its reciprocal
+        # became the zero tail
+        ("C=inf p=0 rho=2", "C must be finite, got inf"),
+    ],
+)
+def test_analyze_refuses_non_finite_tail_numbers(capsys, tmp_path, tail, message):
+    text = chain_text(SeqSpec(1.0, 0.0, 2.0), SeqSpec(1.0, 0.0, 0.5))
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("boundary = C="))
+    lines[lineno - 1] = f"boundary = {tail}"
+    path = tmp_path / "bad.profile"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "analyze", "--profile", str(path))
+    assert code == INPUT_ERROR
+    assert out == ""
+    assert err == f"error: line {lineno}: {message}\n"
+
+
+def test_params_refuse_non_finite_numbers(capsys):
+    code, _, err = run(
+        capsys, "family", "--name", "birth_death", "--params", "b=1,0,nan", "m=geom:0.5"
+    )
+    assert code == INPUT_ERROR
+    assert err == "error: bad sequence descriptor '1,0,nan': rho must be finite, got nan\n"
+
+
 # ---------------------------------------------------------------------------
 # family emission
 # ---------------------------------------------------------------------------

@@ -9,12 +9,20 @@ from formuniq.errors import StructuralError
 from formuniq.families import birth_death, gallery, geometric
 from formuniq.graph import WeightedGraph
 from formuniq.harmonic import (
+    _lp_verdict,
     harmonic_residual,
     membership_report,
     solve_symmetric_harmonic,
     truncated_dirichlet_solve,
 )
-from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, quotient_graph
+from formuniq.series import (
+    CustomTail,
+    PowerGeomTail,
+    RadialProfile,
+    Verdict,
+    VerdictState,
+    quotient_graph,
+)
 
 
 def test_unit_chain_recurrence_by_hand():
@@ -194,3 +202,19 @@ def test_membership_report_unit_chain_escapes_every_space():
     report = membership_report(p, sol)
     for _, verdict in report:
         assert verdict.fails
+
+
+@pytest.mark.parametrize("measure_finite,bounded,state,reason", [
+    (None, "holds", "inconclusive", "total measure undecidable"),
+    (False, "holds", "fails", "u >= u(0) > 0 against infinite total measure"),
+    (True, "holds", "holds", "bounded solution over finite total measure"),
+    (True, "fails", "inconclusive",
+     "unbounded solution over finite total measure: growth race undecided"),
+    (True, "inconclusive", "inconclusive", "boundedness undecided"),
+])
+def test_lp_verdict_branches(measure_finite, bounded, state, reason):
+    b = Verdict(VerdictState(bounded), "bounded", "stub", kind="bounded")
+    v = _lp_verdict("l2", b, measure_finite, (1.0, 2.0), (1, 2))
+    assert (v.state.value, v.reason) == (state, reason)
+    assert v.label == "solution lies in l2 (measure-weighted)"
+    assert (v.kind, v.sample_depths, v.partial_sums) == ("l2", (1, 2), (1.0, 2.0))

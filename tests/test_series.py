@@ -147,6 +147,31 @@ def test_parse_seq_errors_name_the_accepted_forms(text):
         parse_seq(text)
 
 
+@pytest.mark.parametrize(
+    "text,field,value",
+    [
+        ("1,0,nan", "rho", "nan"),
+        ("geom:inf", "rho", "inf"),
+        ("power:-inf", "p", "-inf"),
+        ("1,nan", "p", "nan"),
+        ("inf", "C", "inf"),
+        ("-inf,0,2", "C", "-inf"),
+    ],
+)
+def test_parse_seq_refuses_non_finite_numbers(text, field, value):
+    with pytest.raises(ValueError) as exc:
+        parse_seq(text)
+    assert str(exc.value) == (
+        f"bad sequence descriptor {text!r}: {field} must be finite, got {value}"
+    )
+
+
+def test_tail_algebra_still_carries_overflowed_coefficients():
+    # the finiteness check belongs to the parsers, not to the tail type
+    big = tail_reciprocal(PowerGeomTail(1e-320, 0.0, 2.0))
+    assert math.isinf(big.coeff)
+
+
 # -- tri-state logic ---------------------------------------------------------
 
 H, F, I = VerdictState.HOLDS, VerdictState.FAILS, VerdictState.INCONCLUSIVE
@@ -748,6 +773,25 @@ def test_profile_parse_errors_carry_line_numbers():
             parse_profile_text(bad)
         # the name, [prefix] and boundary come first
         assert str(exc.value) == f"line 4: could not convert string to float: '{value}'"
+
+
+@pytest.mark.parametrize(
+    "tail,field,value",
+    [
+        ("C=1 p=0 rho=nan", "rho", "nan"),
+        ("C=inf p=0 rho=2", "C", "inf"),
+        ("C=1 p=-inf", "p", "-inf"),
+        ("C=nan", "C", "nan"),
+    ],
+)
+def test_profile_tail_refuses_non_finite_numbers(tail, field, value):
+    good = format_profile_text(gallery("unit_chain").profile)
+    lines = good.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("boundary = C="))
+    bad = good.replace(lines[lineno - 1], f"boundary = {tail}")
+    with pytest.raises(GraphFormatError) as exc:
+        parse_profile_text(bad)
+    assert str(exc.value) == f"line {lineno}: {field} must be finite, got {value}"
 
 
 def test_load_profile_from_stream():

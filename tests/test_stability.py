@@ -19,6 +19,7 @@ from formuniq import (
     stability_verdict,
     symmetric_ends_verdict,
 )
+from formuniq import stability
 from formuniq.families import bilateral_chain, geometric, pendant_chain
 from formuniq.series import CustomTail
 from formuniq.stability import (
@@ -162,18 +163,35 @@ def test_boundary_degree_explicit_bound():
     assert rep.max_value == pytest.approx(3.0)  # vertex 2
 
 
-@pytest.mark.parametrize("name,expected", [
-    ("pendant_boundary", True),     # vertical_b/chain_m is constant
-    ("bilateral_mixed", True),      # X1 = {origin} is finite
-    ("pendant_instability", False),  # Deg_b(chain k) = 2^k
-    ("star_instability", False),
-    ("ladder_instability", False),
+@pytest.mark.parametrize("name,bounded,detail,max_value,argmax", [
+    # X1 = {origin} is finite
+    ("bilateral_mixed", True, "X1 is finite: finitely many crossing edges", 2.0, 0),
+    # vertical_b/chain_m is constant
+    ("pendant_boundary", True,
+     "closed form: every crossing-degree sequence is bounded", 1.0, 0),
+    # Deg_b(chain k) = 2^k
+    ("pendant_instability", False,
+     "closed form: Deg_b(chain k) = vertical_b/chain_m is unbounded", 4294967296.0, 64),
+    ("star_instability", False,
+     "closed form: Deg_b(chain k) = vertical_b/chain_m is unbounded", 4294967296.0, 65),
+    ("ladder_instability", False,
+     "closed form: Deg_b(x_k) = xy_b/x_m is unbounded", 4294967296.0, 96),
 ])
-def test_family_boundary_degree_closed_forms(name, expected):
+def test_family_boundary_degree_closed_forms(name, bounded, detail, max_value, argmax):
+    # the maxima run over the depth 8, 16 and 32 truncations
     rep = family_boundary_degree(gallery(name))
-    assert rep.bounded is expected
-    if expected is False:
-        assert "unbounded" in rep.detail
+    assert (rep.bounded, rep.detail, rep.max_value, rep.argmax) == (
+        bounded, detail, max_value, argmax
+    )
+
+
+def test_family_boundary_degree_without_closed_forms():
+    # a hand-built family of a kind without closed forms: maxima, no decision
+    fam = dataclasses.replace(gallery("bilateral_mixed"), kind="handmade")
+    rep = family_boundary_degree(fam)
+    assert rep.bounded is None
+    assert rep.detail == "no closed-form crossing degree for family kind 'handmade'"
+    assert (rep.max_value, rep.argmax) == (2.0, 0)
 
 
 def test_family_boundary_degree_needs_decomposition():
@@ -305,6 +323,29 @@ def test_instability_examples_certify_divergence(name):
     witnesses = [row.witness_energy for row in rep.rows]
     assert witnesses[0] < witnesses[1] < witnesses[2]
     assert all(row.min_increment >= rep.floor for row in rep.rows)
+    assert any("crossing degree unbounded" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("name", [
+    "pendant_instability", "star_instability", "ladder_instability",
+])
+def test_replay_builds_only_its_own_depths(name, monkeypatch):
+    # the crossing-degree note comes from the closed forms: no other
+    # truncation is built and nothing is decomposed
+    fam = gallery(name)
+    built = []
+
+    def build(depth):
+        built.append(depth)
+        return fam.build(depth)
+
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("the replay decomposed a truncation")
+
+    monkeypatch.setattr(stability, "decompose", no_decompose)
+    rep = analyze_instability_example(dataclasses.replace(fam, build=build), (12, 16, 20))
+    assert built == [12, 16, 20]
+    assert rep.witness_diverges
     assert any("crossing degree unbounded" in note for note in rep.notes)
 
 
