@@ -31,9 +31,9 @@ the remainder falls below the rounding unit of the running sum; only a
 ratio too close to 1 for that within a fixed term budget falls back to
 30-digit mpmath, as do pure power tails (Hurwitz zeta).  Complement
 masses are summed directly, never as a difference of totals.  Partial
-sums come from one array expression per series over the profile's value
-arrays, and stop, with a note in the reason, at the first depth where
-they leave the float range.
+sums come from one cumulative sum over a term matrix, one row per
+series, built from each sequence read once; each row stops, with a note
+in the reason, at the first depth where it leaves the float range.
 
 Verdict semantics in this module are series-level: ``Holds`` always
 means "the series converges".  Property-level readings (transience,
@@ -42,6 +42,7 @@ Feller property, ...) live in :mod:`formuniq.criteria`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -691,242 +692,233 @@ _SERIES_READS = {
 }
 
 
+def _term_matrix(
+    p: RadialProfile, kinds: Sequence[SeriesKind], depth: int, beyond
+) -> tuple[np.ndarray, list[int], list[str]]:
+    """The first ``depth`` terms of each kind as the rows of one
+    ``(len(kinds), depth)`` matrix, plus each row's length and note.
+
+    A row is clipped to the values its sequences have (custom tails stop
+    at the prefix; the chain growth term ``r`` reads ``m(r+1)``) and is
+    zero past its length.  Each sequence is read once, as long as the
+    longest row needs it; ``beyond(label, r)`` supplies complement sums.
+    Terms are raw floats: inf or nan where a value leaves the float
+    range.  An infinite or unknown total measure makes every complement
+    mass infinite, so the complement-mass series is then taken in the
+    interchanged order, with finite terms, and its note says so.
+    """
+    lengths, need = [], {}
+    for kind in kinds:
+        reads = _SERIES_READS.get(kind, ("boundary", "measure"))
+        avail = p.value_depth(*reads) - (kind is SeriesKind.HAMBURGER)
+        n = max(int(min(depth, avail)), 0)
+        lengths.append(n)
+        for label in reads if n else ():
+            extra = kind is SeriesKind.HAMBURGER and label == "measure"
+            need[label] = max(need.get(label, 0), n + extra)
+    b, m, c = (
+        p.values(label, need[label]) if label in need else None
+        for label in ("boundary", "measure", "killing")
+    )
+    terms = np.zeros((len(kinds), max(depth, 0)))
+    notes = []
+    with np.errstate(all="ignore"):
+        inv_b = None if b is None else 1.0 / b
+        cum_m = None if m is None else np.cumsum(m)
+        for row, kind, n in zip(terms, kinds, lengths):
+            note = ""
+            if kind is SeriesKind.FELLER_TAIL:
+                total = beyond("measure", -1)
+                if total is None or not math.isfinite(total):
+                    note = "terms via sum_r (sum_{k<r} 1/dB(k)) m(S_r)"
+            notes.append(note)
+            if n == 0:
+                continue
+            if kind is SeriesKind.RESISTANCE:
+                row[:n] = inv_b[:n]
+            elif kind is SeriesKind.TOTAL_MASS:
+                row[:n] = m[:n] + c[:n]
+            elif kind is SeriesKind.STOCHASTIC_MASS:
+                row[:n] = cum_m[:n] / b[:n]
+            elif kind is SeriesKind.ENERGY_WEIGHT:
+                row[:n] = cum_m[:n] ** 2 / b[:n]
+            elif kind is SeriesKind.BOUNDED_HARMONIC:
+                row[:n] = np.cumsum(m[:n] + c[:n]) / b[:n]
+            elif kind is SeriesKind.HAMBURGER:
+                row[:n] = np.cumsum(inv_b[:n]) ** 2 * m[1 : n + 1]
+            elif note:
+                row[:n] = np.cumsum(np.append(0.0, inv_b[: n - 1])) * m[:n]
+            else:
+                # complement masses m(X \ B_r), summed from the far end
+                rest = np.append(beyond("measure", n - 1), m[n - 1 : 0 : -1])
+                row[:n] = np.cumsum(rest)[::-1] / b[:n]
+    return terms, lengths, notes
+
+
 def series_terms(p: RadialProfile, kind: SeriesKind, depth: int) -> np.ndarray:
-    """First ``depth`` terms of the series (clipped to available values).
+    """First ``depth`` terms of the series (clipped to available values):
+    the row :func:`series_verdict` and :func:`verdict_bundle` sum, at
+    ``depth`` instead of their own.
 
     Terms are raw floats: inf or nan where a value leaves the float range.
     """
-    return _series_terms(p, kind, depth)[0]
+    terms, (n,), _ = _term_matrix(p, (kind,), depth, p._beyond)
+    return terms[0, :n]
 
 
-def _series_terms(p: RadialProfile, kind: SeriesKind, depth: int) -> tuple[np.ndarray, str]:
-    """Terms plus a representation note.  An infinite or unknown total
-    measure makes every complement mass infinite, so the complement-mass
-    series is then taken in the interchanged order, with finite terms."""
-    note = ""
-    if kind is SeriesKind.FELLER_TAIL:
-        total = p.total_measure()
-        if total is None or not math.isfinite(total):
-            note = "terms via sum_r (sum_{k<r} 1/dB(k)) m(S_r)"
-    avail = p.value_depth(*_SERIES_READS.get(kind, ("boundary", "measure")))
-    if kind is SeriesKind.HAMBURGER:
-        avail -= 1  # term r reads m(r+1)
-    n = int(min(depth, avail))
-    if n <= 0:
-        return np.zeros(0), note
+def _evaluate(p: RadialProfile, kinds: Sequence[SeriesKind]) -> dict[SeriesKind, Verdict]:
+    """Verdicts for ``kinds``, in that order, from one pass over the profile.
+
+    Every sequence is read once and every complement sum computed once
+    (:func:`_term_matrix`); one cumulative sum over the term matrix gives
+    all partial sums, cut per row before the first one that leaves the
+    float range; the tail classes are derived once and each kind only
+    combines them.
+    """
+    beyond = functools.cache(p._beyond)
+    depth = max(p.prefix_len + PARTIAL_SUM_MARGIN, PARTIAL_SUM_FLOOR_DEPTH)
+    terms, lengths, notes = _term_matrix(p, kinds, depth, beyond)
+
     with np.errstate(all="ignore"):
-        if kind is SeriesKind.TOTAL_MASS:
-            return p.values("measure", n) + p.values("killing", n), note
-        b = p.values("boundary", n)
-        if kind is SeriesKind.RESISTANCE:
-            return 1.0 / b, note
-        if kind is SeriesKind.HAMBURGER:
-            return np.cumsum(1.0 / b) ** 2 * p.values("measure", n + 1)[1:], note
-        m = p.values("measure", n)
-        if kind is SeriesKind.STOCHASTIC_MASS:
-            return np.cumsum(m) / b, note
-        if kind is SeriesKind.ENERGY_WEIGHT:
-            return np.cumsum(m) ** 2 / b, note
-        if kind is SeriesKind.BOUNDED_HARMONIC:
-            return np.cumsum(m + p.values("killing", n)) / b, note
-        if kind is SeriesKind.FELLER_TAIL:
-            if note:
-                return np.cumsum(np.append(0.0, 1.0 / b[:-1])) * m, note
-            # complement masses m(X \ B_r), summed from the far end
-            beyond = np.cumsum(np.append(p.measure_beyond(n - 1), m[:0:-1]))[::-1]
-            return beyond / b, note
-    raise ValueError(f"unknown series kind {kind}")  # pragma: no cover
+        sums = np.cumsum(terms, axis=1)
+    finite = np.isfinite(sums)
+    leading = np.where(finite.all(axis=1), depth, finite.argmin(axis=1)).tolist()
+    finite_lens = [min(k, n) for k, n in zip(leading, lengths)]
+    full_depths = _sample_depths(depth)
+    full_sums = sums[:, np.array(full_depths) - 1].tolist()
 
-
-def _partial_sums(p: RadialProfile, kind: SeriesKind) -> tuple[tuple[int, ...], tuple[float, ...], str]:
-    """Partial sums at the sampled depths, cut before the first one that
-    leaves the float range, with a note saying so."""
-    n = max(p.prefix_len + PARTIAL_SUM_MARGIN, PARTIAL_SUM_FLOOR_DEPTH)
-    terms, note = _series_terms(p, kind, n)
-    with np.errstate(all="ignore"):
-        sums = np.cumsum(terms)
-    finite = int(np.cumprod(np.isfinite(sums)).sum())  # leading finite sums
-    if finite < len(sums):
-        overflow = f"partial sums stop at r={finite}: float overflow"
-        note = f"{note}; {overflow}" if note else overflow
-    if finite == 0:
-        return (), (), note
-    depths = _sample_depths(finite)
-    return tuple(depths), tuple(sums[np.array(depths) - 1].tolist()), note
-
-
-def _decide(p: RadialProfile, kind: SeriesKind) -> tuple[bool | None, str]:
-    """Convergence decision plus a one-line reason."""
-    bt = _closed(p.boundary_tail)
-    mt = _closed(p.measure_tail)
-    ct = _closed(p.killing_tail)
+    bt, mt, ct = (_closed(t) for t in (p.boundary_tail, p.measure_tail, p.killing_tail))
     b_flag = tail_converges(p.boundary_tail)  # sum dB(r) converges?
     m_conv = tail_converges(p.measure_tail)
     c_conv = tail_converges(p.killing_tail)
     mass_conv = state_and(_state(m_conv), _state(c_conv)).truth  # sum (c+m) converges?
+    inv_bt = tail_reciprocal(bt)
+    # sum 1/dB converges?  A summable dB forces dB -> 0, so 1/dB diverges
+    res_conv = tail_converges(inv_bt) if bt is not None else (False if b_flag is True else None)
 
-    def closed_reason(cls: PowerGeomTail | None) -> str:
+    def closed(cls: PowerGeomTail) -> tuple[bool | None, str]:
         conv = tail_converges(cls)
-        return f"term class {cls.describe()} -> {'converges' if conv else 'diverges'}"
+        return conv, f"term class {cls.describe()} -> {'converges' if conv else 'diverges'}"
 
-    # resistance decision is reused by several kinds
-    if bt is not None:
-        res_conv = tail_converges(tail_reciprocal(bt))
-    elif b_flag is True:
-        res_conv = False  # dB summable forces dB -> 0, so 1/dB diverges
-    else:
-        res_conv = None
+    def decide(kind: SeriesKind) -> tuple[bool | None, str]:
+        """Convergence decision plus a one-line reason."""
+        if kind is SeriesKind.RESISTANCE:
+            if bt is not None:
+                return closed(inv_bt)
+            if b_flag is True:
+                return False, "declared sum dB < inf forces dB -> 0, 1/dB diverges"
+            return None, "custom boundary tail without a deciding flag"
 
-    if kind is SeriesKind.RESISTANCE:
-        if bt is not None:
-            cls = tail_reciprocal(bt)
-            return tail_converges(cls), closed_reason(cls)
-        if b_flag is True:
-            return False, "declared sum dB < inf forces dB -> 0, 1/dB diverges"
-        return None, "custom boundary tail without a deciding flag"
+        if kind is SeriesKind.TOTAL_MASS:
+            parts = [
+                f"{lbl}: {t.describe() if t else f'custom({fl})'}"
+                for lbl, t, fl in (("m", mt, m_conv), ("c", ct, c_conv))
+            ]
+            return mass_conv, "; ".join(parts)
 
-    if kind is SeriesKind.TOTAL_MASS:
-        parts = []
-        for lbl, t, fl in (("m", mt, m_conv), ("c", ct, c_conv)):
-            parts.append(f"{lbl}: {t.describe() if t else f'custom({fl})'}")
-        return mass_conv, "; ".join(parts)
+        if kind is SeriesKind.STOCHASTIC_MASS or kind is SeriesKind.BOUNDED_HARMONIC:
+            with_killing = kind is SeriesKind.BOUNDED_HARMONIC
+            seq, seq_conv = (tail_add(mt, ct), mass_conv) if with_killing else (mt, m_conv)
+            if seq is not None and bt is not None:
+                total = beyond("measure", -1)
+                if with_killing:
+                    total += beyond("killing", -1)
+                return closed(tail_mul(tail_cumsum_class(seq, total), inv_bt))
+            if res_conv is False:
+                return False, "cumulative mass >= its first term while sum 1/dB diverges"
+            if seq_conv is True and res_conv is not None:
+                return res_conv, (
+                    "finite total mass pins cumulative sums between positive "
+                    "constants; verdict follows sum 1/dB"
+                )
+            return None, "undecidable with the available tail information"
 
-    if kind is SeriesKind.STOCHASTIC_MASS or kind is SeriesKind.BOUNDED_HARMONIC:
-        with_killing = kind is SeriesKind.BOUNDED_HARMONIC
-        seq, seq_conv = (tail_add(mt, ct), mass_conv) if with_killing else (mt, m_conv)
-        if seq is not None and bt is not None:
-            total = p.mass_beyond(-1) if with_killing else p.total_measure()
-            cls = tail_mul(tail_cumsum_class(seq, total), tail_reciprocal(bt))
-            return tail_converges(cls), closed_reason(cls)
-        if res_conv is False:
-            return False, "cumulative mass >= its first term while sum 1/dB diverges"
-        if seq_conv is True and res_conv is not None:
-            return res_conv, (
-                "finite total mass pins cumulative sums between positive "
-                "constants; verdict follows sum 1/dB"
-            )
-        return None, "undecidable with the available tail information"
+        if kind is SeriesKind.FELLER_TAIL:
+            if m_conv is False:
+                return False, "infinite total measure makes every complement infinite"
+            if m_conv is None:
+                return None, "custom measure tail without a deciding flag"
+            # total measure finite
+            if mt is not None and bt is not None:
+                return closed(tail_mul(tail_complement_class(mt), inv_bt))
+            if b_flag is True:
+                return False, "declared sum dB < inf forces 1/dB -> inf against positive complements"
+            if res_conv is True:
+                return True, (
+                    "bounded cumulative resistance and finite total measure "
+                    "(interchange bound)"
+                )
+            return None, "undecidable with the available tail information"
 
-    if kind is SeriesKind.FELLER_TAIL:
-        if m_conv is False:
-            return False, "infinite total measure makes every complement infinite"
-        if m_conv is None:
-            return None, "custom measure tail without a deciding flag"
-        # total measure finite
-        if mt is not None and bt is not None:
-            cls = tail_mul(tail_complement_class(mt), tail_reciprocal(bt))
-            return tail_converges(cls), closed_reason(cls)
-        if b_flag is True:
-            return False, "declared sum dB < inf forces 1/dB -> inf against positive complements"
-        if res_conv is True:
-            return True, (
-                "bounded cumulative resistance and finite total measure "
-                "(interchange bound)"
-            )
-        return None, "undecidable with the available tail information"
+        if kind is SeriesKind.ENERGY_WEIGHT:
+            if mt is not None and bt is not None:
+                cum = tail_cumsum_class(mt, beyond("measure", -1))
+                return closed(tail_mul(tail_square(cum), inv_bt))
+            if res_conv is False:
+                return False, "squared cumulative measure >= a positive constant while sum 1/dB diverges"
+            if m_conv is True and res_conv is not None:
+                return res_conv, (
+                    "finite total measure pins squared cumulative sums; verdict "
+                    "follows sum 1/dB"
+                )
+            return None, "undecidable with the available tail information"
 
-    if kind is SeriesKind.ENERGY_WEIGHT:
-        if mt is not None and bt is not None:
-            cls = tail_mul(
-                tail_square(tail_cumsum_class(mt, p.total_measure())),
-                tail_reciprocal(bt),
-            )
-            return tail_converges(cls), closed_reason(cls)
-        if res_conv is False:
-            return False, "squared cumulative measure >= a positive constant while sum 1/dB diverges"
-        if m_conv is True and res_conv is not None:
-            return res_conv, (
-                "finite total measure pins squared cumulative sums; verdict "
-                "follows sum 1/dB"
-            )
-        return None, "undecidable with the available tail information"
+        if kind is SeriesKind.HAMBURGER:
+            if m_conv is False:
+                return False, "inner sums >= 1/b(0,1) > 0 against infinite total measure"
+            if bt is not None and mt is not None:
+                return closed(
+                    tail_mul(tail_square(tail_cumsum_class(inv_bt)), tail_shift(mt, 1))
+                )
+            if m_conv is True and res_conv is True:
+                return True, "bounded inner sums against finite total measure"
+            return None, "undecidable with the available tail information"
 
-    if kind is SeriesKind.HAMBURGER:
-        if not p.is_birth_death:
-            raise PreconditionError(
-                "the chain growth criterion requires one vertex per sphere"
-            )
-        if not p.killing_is_zero:
-            raise PreconditionError(
-                "the chain growth criterion requires zero killing"
-            )
-        if m_conv is False:
-            return False, "inner sums >= 1/b(0,1) > 0 against infinite total measure"
-        if bt is not None and mt is not None:
-            cls = tail_mul(
-                tail_square(tail_cumsum_class(tail_reciprocal(bt))),
-                tail_shift(mt, 1),
-            )
-            return tail_converges(cls), closed_reason(cls)
-        if m_conv is True and res_conv is True:
-            return True, "bounded inner sums against finite total measure"
-        return None, "undecidable with the available tail information"
+        raise ValueError(f"unknown series kind {kind}")  # pragma: no cover
 
-    raise ValueError(f"unknown series kind {kind}")  # pragma: no cover
+    out = {}
+    for i, kind in enumerate(kinds):
+        conv, reason = decide(kind)
+        n, note = finite_lens[i], notes[i]
+        if n < lengths[i]:
+            overflow = f"partial sums stop at r={n}: float overflow"
+            note = f"{note}; {overflow}" if note else overflow
+        if note:
+            reason = f"{reason}; {note}"
+        if n == depth:
+            depths, partial = full_depths, full_sums[i]
+        else:
+            depths = _sample_depths(n) if n else []
+            partial = sums[i, np.array(depths, dtype=int) - 1].tolist()
+        label = f"{_SERIES_LABEL[kind]} converges"
+        out[kind] = Verdict(_state(conv), label, reason, kind.value, tuple(depths), tuple(partial))
+    return out
 
 
 def series_verdict(p: RadialProfile, kind: SeriesKind) -> Verdict:
     """Exact convergence verdict for one of the canonical series.
 
-    ``Holds`` means the series converges.  Raises
+    ``Holds`` means the series converges.  Only this kind's terms are
+    built; the verdict equals the bundle's for the same kind.  Raises
     :class:`PreconditionError` for :data:`SeriesKind.HAMBURGER` on a
     profile that is not certifiably a chain with zero killing.
     """
-    conv, reason = _decide(p, kind)
-    depths, sums, note = _partial_sums(p, kind)
-    if note:
-        reason = f"{reason}; {note}"
-    return Verdict(
-        state=_state(conv),
-        label=f"{_SERIES_LABEL[kind]} converges",
-        reason=reason,
-        kind=kind.value,
-        sample_depths=depths,
-        partial_sums=sums,
-    )
-
-
-class _BundleReads(RadialProfile):
-    """A profile whose sequence reads and complement sums are memoised,
-    for the kinds of one verdict bundle: each kind reads the arrays and
-    sums it would read alone, but every ``(label, n)`` and ``(label, r)``
-    is computed once.  Built from a validated profile without
-    validating it again."""
-
-    def __init__(self, p: RadialProfile) -> None:
-        self.__dict__.update(vars(p), _memo={})
-
-    def _memoised(self, read, label: str, arg: int):
-        key = (read.__name__, label, arg)
-        if key not in self._memo:
-            self._memo[key] = read(label, arg)
-        return self._memo[key]
-
-    def values(self, label: str, n: int) -> np.ndarray:
-        arr = self._memoised(super().values, label, n)
-        arr.flags.writeable = False  # shared by every kind of the bundle
-        return arr
-
-    def _beyond(self, label: str, r: int) -> float | None:
-        return self._memoised(super()._beyond, label, r)
+    if kind is SeriesKind.HAMBURGER:
+        if not p.is_birth_death:
+            raise PreconditionError("the chain growth criterion requires one vertex per sphere")
+        if not p.killing_is_zero:
+            raise PreconditionError("the chain growth criterion requires zero killing")
+    return _evaluate(p, (kind,))[kind]
 
 
 def verdict_bundle(p: RadialProfile) -> dict[SeriesKind, Verdict]:
-    """Verdicts for every applicable series kind, equal to
-    :func:`series_verdict` kind by kind, reading each sequence once."""
-    kinds = [
-        SeriesKind.RESISTANCE,
-        SeriesKind.TOTAL_MASS,
-        SeriesKind.STOCHASTIC_MASS,
-        SeriesKind.FELLER_TAIL,
-        SeriesKind.ENERGY_WEIGHT,
-        SeriesKind.BOUNDED_HARMONIC,
-    ]
-    p = _BundleReads(p)
-    out = {k: series_verdict(p, k) for k in kinds}
-    if p.is_birth_death and p.killing_is_zero:
-        out[SeriesKind.HAMBURGER] = series_verdict(p, SeriesKind.HAMBURGER)
-    return out
+    """Verdicts for every applicable series kind from one pass: each
+    sequence read once, each complement sum and tail class derived once,
+    one cumulative sum for all partial sums.  Kind by kind equal to
+    :func:`series_verdict`; the chain growth series is included only for
+    chains with zero killing."""
+    chain = p.is_birth_death and p.killing_is_zero
+    return _evaluate(p, [k for k in SeriesKind if chain or k is not SeriesKind.HAMBURGER])
 
 
 def bundle_consistency(
@@ -1106,7 +1098,12 @@ def parse_profile_text(text: str, name: str = "") -> RadialProfile:
             if section == "prefix":
                 if key in prefixes:
                     raise ValueError(f"duplicate prefix for {key}")
-                prefixes[key] = np.array(value.split(), dtype=float)
+                arr = np.array(value.split(), dtype=float)
+                # here, not in RadialProfile: a closed-form prefix may overflow
+                if not np.isfinite(arr).all():
+                    bad = float(arr[~np.isfinite(arr)][0])
+                    raise ValueError(f"{key} prefix must be finite, got {bad!r}")
+                prefixes[key] = arr
             else:
                 if key in tails:
                     raise ValueError(f"duplicate tail for {key}")

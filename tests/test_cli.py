@@ -314,6 +314,41 @@ def test_analyze_refuses_non_finite_tail_numbers(capsys, tmp_path, tail, message
     assert err == f"error: line {lineno}: {message}\n"
 
 
+ONE_RADIUS = """\
+[prefix]
+boundary = 1.0
+sphere_m = 1.0
+sphere_c = 0.0
+sphere_count = 1
+[tail]
+boundary = C=1 p=0 rho=2
+sphere_m = C=1 p=0 rho=0.5
+sphere_c = C=0
+sphere_count = C=1
+"""
+
+
+@pytest.mark.parametrize(
+    "lineno,key,value",
+    [
+        # an infinite boundary weight once read as a transient walk
+        (2, "boundary", "inf"),
+        (4, "sphere_c", "inf"),
+        # once refused as "measure prefix must be strictly positive"
+        (3, "sphere_m", "nan"),
+    ],
+)
+def test_analyze_refuses_non_finite_prefix_values(capsys, tmp_path, lineno, key, value):
+    path = tmp_path / "bad.profile"
+    path.write_text(ONE_RADIUS.replace(f"{key} = ", f"{key} = {value} #", 1))
+    code, out, err = run(capsys, "analyze", "--profile", str(path))
+    assert code == INPUT_ERROR
+    assert out == ""
+    assert err == f"error: line {lineno}: {key} prefix must be finite, got {value}\n"
+    path.write_text(ONE_RADIUS)
+    assert run(capsys, "analyze", "--profile", str(path))[0] == OK
+
+
 def test_params_refuse_non_finite_numbers(capsys):
     code, _, err = run(
         capsys, "family", "--name", "birth_death", "--params", "b=1,0,nan", "m=geom:0.5"

@@ -210,18 +210,20 @@ def test_full_report_matches_standalone_verdicts():
 
 @pytest.mark.parametrize("killing", [0.0, 0.5])
 def test_full_report_evaluates_each_series_once(monkeypatch, killing):
-    calls = Counter()
-    decide = series._decide
+    passes = []
+    evaluate = series._evaluate
 
-    def counting(p, kind):
-        calls[kind] += 1
-        return decide(p, kind)
+    def counting(p, kinds):
+        passes.append(Counter(kinds))
+        return evaluate(p, kinds)
 
-    monkeypatch.setattr(series, "_decide", counting)
+    monkeypatch.setattr(series, "_evaluate", counting)
     full_report(birth_death(geometric(2.0), geometric(0.5), killing).profile)
     expected = set(SeriesKind) - ({SeriesKind.HAMBURGER} if killing else set())
-    assert set(calls) == expected
-    assert all(n == 1 for n in calls.values())
+    # one pass over the profile, asking for each kind once
+    assert len(passes) == 1
+    assert set(passes[0]) == expected
+    assert all(n == 1 for n in passes[0].values())
 
 
 def test_divergent_killing_is_not_a_contradiction():

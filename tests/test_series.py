@@ -5,6 +5,7 @@ sums: a convergent verdict must come with visibly flattening sums and a
 divergent one with sums that keep climbing.
 """
 
+import dataclasses
 import io
 import math
 import sys
@@ -59,6 +60,7 @@ from formuniq.series import (
     tail_sum_exact,
     verdict_bundle,
 )
+from formuniq.symmetry import sphere_decomposition
 from scalar_reference import profile_at, seq_at
 
 
@@ -512,11 +514,20 @@ def brute_partial_sums(p, kind, depth=200):
 
 def scalar_terms(p, kind, n):
     """The first ``n`` series terms, one radius at a time from the
-    per-radius reference reads: the reference for the array expressions."""
-    interchange = not math.isfinite(p.total_measure())
+    per-radius reference reads: the reference for the term matrix.
+    A term that needs a value a custom tail hides is nan."""
+
+    def at(label, r):
+        try:
+            return profile_at(p, label, r)
+        except StructuralError:
+            return math.nan
+
+    total = p.total_measure()
+    interchange = total is None or not math.isfinite(total)
     out, cm, cmc, inv = [], 0.0, 0.0, 0.0
     for r in range(n):
-        b, m, c = (profile_at(p, label, r) for label in ("boundary", "measure", "killing"))
+        b, m, c = (at(label, r) for label in ("boundary", "measure", "killing"))
         inv_before, cm, cmc, inv = inv, cm + m, cmc + m + c, inv + 1.0 / b
         out.append({
             SeriesKind.RESISTANCE: 1.0 / b,
@@ -527,7 +538,7 @@ def scalar_terms(p, kind, n):
             ),
             SeriesKind.ENERGY_WEIGHT: cm**2 / b,
             SeriesKind.BOUNDED_HARMONIC: cmc / b,
-            SeriesKind.HAMBURGER: inv**2 * profile_at(p, "measure", r + 1),
+            SeriesKind.HAMBURGER: inv**2 * at("measure", r + 1),
         }[kind])
     return np.array(out)
 
@@ -540,13 +551,27 @@ def test_series_terms_match_scalar_reference(kind):
         birth_death(SeqSpec(0.7, 1.5, 0.9), SeqSpec(2.0, -1.0, 1.1), 0.0, prefix_len=48),
     ]
     profiles = [gallery(name).profile for name in WSS_GALLERY] + [f.profile for f in chains]
+    unit = truncation_profile("unit_chain", 6)
+    profiles += [
+        truncation_profile("binary_tree", 5),
+        unit,
+        only_measure_custom(unit),
+    ]
     for p in profiles:
         if kind is SeriesKind.HAMBURGER and not (p.is_birth_death and p.killing_is_zero):
             continue
-        n = p.prefix_len + series.PARTIAL_SUM_MARGIN
+        # the depth the verdicts sum to, clipped where custom tails hide values
+        n = max(p.prefix_len + series.PARTIAL_SUM_MARGIN, series.PARTIAL_SUM_FLOOR_DEPTH)
         want = scalar_terms(p, kind, n)
+        hidden = np.flatnonzero(np.isnan(want))
+        want = want[: hidden[0]] if hidden.size else want
         got = series_terms(p, kind, n)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=p.name)
+        # and these are the rows the verdicts sum, bit for bit
+        v = verdict_bundle(p)[kind]
+        assert v.sample_depths[-1] == len(got)
+        sums = np.cumsum(got)[np.array(v.sample_depths) - 1]
+        assert sums.tobytes() == np.array(v.partial_sums).tobytes(), p.name
 
 
 @pytest.mark.parametrize(
@@ -643,22 +668,68 @@ def test_verdict_bundle_and_consistency():
         assert bundle_consistency(bundle) == []
 
 
-def random_chain_profile(rng, killing):
+def random_chain_profile(rng, killing, edge=False):
+    """A 48-radius chain from the acceptance suite's ranges, or with
+    ``edge`` from the whole grammar (C in [1e-3, 1e3], p in [-6, 6],
+    rho in [0.05, 20])."""
+
     def seq(lo, hi):
-        return SeqSpec(
-            float(rng.uniform(0.3, 3.0)), float(rng.uniform(-2.0, 2.0)), float(rng.uniform(lo, hi))
-        )
+        if edge:
+            c, p, rho = 10.0 ** rng.uniform(-3, 3), rng.uniform(-6, 6), rng.uniform(0.05, 20)
+        else:
+            c, p, rho = rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(lo, hi)
+        return SeqSpec(float(c), float(p), float(rho))
 
     c = seq(0.5, 1.5) if killing else 0.0
     return birth_death(seq(0.55, 1.8), seq(0.55, 1.8), c, prefix_len=48).profile
 
 
+def overflowing_profile():
+    """1/dB(r) = 20^r leaves the float range at r = 237."""
+    n = 48
+    return chain_profile(
+        0.05 ** np.arange(n),
+        0.01 ** np.arange(n),
+        boundary_tail=PowerGeomTail(1.0, 0.0, 0.05),
+        measure_tail=PowerGeomTail(1.0, 0.0, 0.01),
+    )
+
+
+def truncation_profile(name, depth):
+    """The profile read off a gallery truncation: custom tails, prefix only."""
+    t = gallery(name).build(depth + 1)
+    return series.profile_from_graph(t.graph, sphere_decomposition(t.graph, [t.root]), depth)
+
+
+def only_measure_custom(p):
+    """``p`` as a chain without killing whose measure tail alone is custom."""
+    return dataclasses.replace(
+        p,
+        boundary_tail=PowerGeomTail(1.0, 0.0, 0.5),
+        killing_tail=ZERO_TAIL,
+        count_tail=PowerGeomTail(1.0),
+    )
+
+
 def test_verdict_bundle_equals_per_kind_verdicts():
-    # the bundle shares its sequence reads between kinds; every field of
-    # every verdict must be bit for bit what the kind computes alone
+    # the bundle evaluates all kinds in one pass; every field of every
+    # verdict must be bit for bit what the kind computes alone
     rng = np.random.default_rng(1212)
     profiles = [gallery(name).profile for name in WSS_GALLERY]
     profiles += [random_chain_profile(rng, killing=i % 2 == 1) for i in range(50)]
+    profiles += [random_chain_profile(rng, killing=i % 2 == 1, edge=True) for i in range(30)]
+    unit = truncation_profile("unit_chain", 6)
+    profiles += [
+        # custom tails: every row stops at the prefix
+        truncation_profile("binary_tree", 5),
+        unit,
+        # rows of unequal length: the resistance row runs to full depth,
+        # the chain growth row stops one short of the prefix
+        only_measure_custom(unit),
+        overflowing_profile(),
+        # infinite total measure: complement masses in the interchanged order
+        birth_death(geometric(0.5), power_seq(1.0), prefix_len=48).profile,
+    ]
     for p in profiles:
         bundle = verdict_bundle(p)
         alone = {
@@ -702,16 +773,8 @@ def test_energy_implies_bounded_harmonic_only_with_summable_killing():
 
 
 def test_partial_sums_stop_at_float_overflow():
-    # 1/dB(r) = 20^r leaves the float range at r = 237
-    n = 48
-    p = chain_profile(
-        0.05 ** np.arange(n),
-        0.01 ** np.arange(n),
-        boundary_tail=PowerGeomTail(1.0, 0.0, 0.05),
-        measure_tail=PowerGeomTail(1.0, 0.0, 0.01),
-    )
     with np.errstate(all="raise"):
-        bundle = verdict_bundle(p)
+        bundle = verdict_bundle(overflowing_profile())
     res = bundle[SeriesKind.RESISTANCE]
     assert res.fails  # the verdict still comes from the tail grammar
     assert res.reason.endswith("; partial sums stop at r=237: float overflow")
