@@ -431,8 +431,10 @@ def profile_boundary_capacity(
 def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
     _check_depths(depths)
     depth = max(depths)
-    base = family.build(depth)
-    deeper = family.build(depth + max(4, depth // 4))
+    try:
+        base, deeper = (family.build(d) for d in (depth, depth + max(4, depth // 4)))
+    except StructuralError as exc:  # a closed form left the float range
+        return CapacityEstimate(family.name, (), None, "undecided", (str(exc),))
 
     def tail_distances(trunc):
         sigma = degree_path_lengths(trunc.graph)

@@ -3,8 +3,9 @@
 Subcommands cover the main analyses: property verdicts for a radial
 profile, the increasing harmonic solution, boundary capacity runs,
 family emission, graph decomposition, symmetric-ends reports, and a
-consistency check.  CSV output uses repr() floats so identical inputs
-produce byte-identical files.
+consistency check.  CSV and JSON output use repr() floats, so identical
+inputs give byte-identical files on one numpy build and CPU (numpy's
+AVX-512 pow/exp/log round some values one ulp apart from its other loops).
 
 Exit codes: 0 success / all verdicts decided, 2 bad input, 3 at least
 one verdict inconclusive.

@@ -92,6 +92,19 @@ def _checked_values(seq: SeqSpec, n: int, label: str, *, positive: bool) -> np.n
     return vals
 
 
+def _values(seq: SeqSpec, k: np.ndarray) -> np.ndarray:
+    """``seq`` at the layers ``k``; a closed-form value past the float range
+    (inf, or 0 from a positive coefficient) is a StructuralError."""
+    vals = seq.values(k)
+    if seq.coeff > 0 and not (vals.all() and np.isfinite(vals).all()):
+        off = (~np.isfinite(vals) | (vals == 0)) & ~np.isin(k, [r for r, _ in seq.overrides])
+        if off.any():
+            raise StructuralError(
+                f"{seq.describe()} leaves the float range at layer {k[off][0]}; use a smaller depth"
+            )
+    return vals
+
+
 def _integral(vals: np.ndarray, label: str) -> np.ndarray:
     if np.any(vals < 1) or not np.array_equal(vals, np.round(vals)):
         raise PreconditionError(f"{label} values must be integers >= 1")
@@ -110,8 +123,13 @@ def _check_depth(depth: int, top: float = np.inf) -> None:
 
 def _edges(*parts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """``(u, v, w)`` edge rows taking the parts in turn: row k of every
-    part, then row k+1."""
-    return np.stack([np.column_stack(p) for p in parts], axis=1).reshape(-1, 3)
+    part, then row k+1; the parts one row longer than the rest end with
+    their last rows, in turn.  Builders order the parts so that the rows
+    come sorted by ``(u, v)``, which ``WeightedGraph`` then need not sort."""
+    rows = [np.column_stack(p) for p in parts]
+    n = min(map(len, rows))
+    body = np.stack([r[:n] for r in rows], axis=1).reshape(-1, 3)
+    return np.concatenate([body, *(r[n:] for r in rows)])
 
 
 def _sphere_roles(sizes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -400,11 +418,11 @@ def bilateral_chain(
         # vertex ids: 0 -> 0, +r -> 2r-1, -r -> 2r
         r = np.arange(depth + 1)
         edges = _edges(
-            (np.maximum(2 * r[:-1] - 1, 0), 2 * r[1:] - 1, pb.values(r[:-1])),
-            (2 * r[:-1], 2 * r[1:], nb.values(r[:-1])),
+            (np.maximum(2 * r[:-1] - 1, 0), 2 * r[1:] - 1, _values(pb, r[:-1])),
+            (2 * r[:-1], 2 * r[1:], _values(nb, r[:-1])),
         )
-        pos_m = pm.values(r)
-        sides = np.column_stack((pos_m[1:], nm.values(r[1:]))).ravel()
+        pos_m = _values(pm, r)
+        sides = np.column_stack((pos_m[1:], _values(nm, r[1:]))).ravel()
         measure = np.concatenate((pos_m[:1], sides))
         roles = ("origin",) + tuple(f"{s}:{i}" for i in range(1, depth + 1) for s in ("pos", "neg"))
         layer = np.concatenate(([0], np.repeat(r[1:], 2)))
@@ -443,11 +461,9 @@ def pendant_chain(
     def build(depth: int) -> Truncation:
         _check_depth(depth)
         k = np.arange(depth + 1)
-        edges = np.concatenate((
-            _edges((2 * k[:-1], 2 * k[1:], cb.values(k[:-1]))),
-            _edges((2 * k, 2 * k + 1, vb.values(k))),
-        ))
-        measure = np.column_stack((cm.values(k), pm.values(k))).ravel()
+        chain = (2 * k[:-1], 2 * k[1:], _values(cb, k[:-1]))
+        edges = _edges((2 * k, 2 * k + 1, _values(vb, k)), chain)  # in (u, v) order
+        measure = np.column_stack((_values(cm, k), _values(pm, k))).ravel()
         g = WeightedGraph(len(measure), edges, measure=measure)
         roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
         return Truncation(g, 0, depth, roles, np.repeat(k, 2))
@@ -489,12 +505,12 @@ def star_chain(
     def build(depth: int) -> Truncation:
         _check_depth(depth)
         k = np.arange(depth + 1)
-        edges = np.concatenate((
-            _edges((1 + 2 * k[:-1], 1 + 2 * k[1:], cb.values(k[:-1]))),
-            _edges((1 + 2 * k, 2 + 2 * k, vb.values(k))),
-            _edges((np.zeros_like(k), 2 + 2 * k, hb.values(k))),
+        chain = (1 + 2 * k[:-1], 3 + 2 * k[:-1], _values(cb, k[:-1]))
+        edges = np.concatenate((  # in (u, v) order: the hub's edges first
+            _edges((np.zeros_like(k), 2 + 2 * k, _values(hb, k))),
+            _edges((1 + 2 * k, 2 + 2 * k, _values(vb, k)), chain),
         ))
-        measure = np.concatenate(([hub_m], np.column_stack((cm.values(k), pm.values(k))).ravel()))
+        measure = np.concatenate(([hub_m], np.column_stack((_values(cm, k), _values(pm, k))).ravel()))
         g = WeightedGraph(len(measure), edges, measure=measure)
         roles = ("hub",) + tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
         return Truncation(g, 1, depth, roles, np.concatenate(([0], np.repeat(k, 2))))
@@ -550,11 +566,10 @@ def double_ladder(
         _check_depth(depth)
         k = np.arange(depth + 1)
         ids, r = 3 * k, k[:-1]
-        edges = np.concatenate((
-            _edges(*((ids[:-1] + j, ids[1:] + j, s.values(r)) for j, s in enumerate((xb, yb, zb)))),
-            _edges((ids, ids + 1, rxy.values(k)), (ids + 1, ids + 2, ryz.values(k))),
-        ))
-        measure = np.column_stack([s.values(k) for s in (xm, ym, zm)]).ravel()
+        x, y, z = ((ids[:-1] + j, ids[1:] + j, _values(s, r)) for j, s in enumerate((xb, yb, zb)))
+        # in (u, v) order: x_k's rung and rail, y_k's, then z_k's rail
+        edges = _edges((ids, ids + 1, _values(rxy, k)), x, (ids + 1, ids + 2, _values(ryz, k)), y, z)
+        measure = np.column_stack([_values(s, k) for s in (xm, ym, zm)]).ravel()
         g = WeightedGraph(len(measure), edges, measure=measure)
         roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("x", "y", "z"))
         return Truncation(g, 0, depth, roles, np.repeat(k, 3))

@@ -19,12 +19,19 @@ Vertex functions are plain numpy arrays indexed by vertex id.
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from itertools import repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+
+# the C counting sort of coo_matrix.tocsr(), without the constructors
+# and checks around it, which cost a small graph more than the sort
+from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
 
 from .errors import GraphFormatError, StructuralError
 
@@ -65,9 +72,10 @@ def _canonical_edges(
 
     lo = np.minimum(xi[:stop], yi[:stop])
     hi = np.maximum(xi[:stop], yi[:stop])
-    # one stable sort on the pair key (n*n fits int64 for any n held
-    # in memory): repeats keep their input order
-    key = lo * n + hi
+    key = lo * n + hi  # n*n fits int64 for any n held in memory
+    if stop == len(w) and np.all(key[1:] > key[:-1]):
+        return lo, hi, w.copy()  # sorted already; never alias the caller's array
+    # one stable sort on the pair key: repeats keep their input order
     order = np.argsort(key, kind="stable")
     lo, hi, ws = lo[order], hi[order], w[:stop][order]
     first = np.ones(len(ws), dtype=bool)
@@ -139,15 +147,20 @@ class WeightedGraph:
         self.killing = c
         self.edge_u, self.edge_v, self.edge_w = _canonical_edges(n, edges)
 
-        # row x lists its neighbours by id: the edges (y, x), y < x, in
-        # edge order, then the edges (x, y), y > x, in edge order
-        rows = np.concatenate([self.edge_v, self.edge_u])
-        cols = np.concatenate([self.edge_u, self.edge_v])
-        vals = np.concatenate([self.edge_w, self.edge_w])
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        self.adjacency = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+        # row x lists its neighbours by id: the edges (y, x), y < x, then
+        # the edges (x, y), y > x, each in edge order, counted into place
+        # in one pass; int32 indices while n and 2E fit, as scipy picks
+        nnz = 2 * self.edge_count
+        idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+        indptr, indices, data = np.empty(n + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        _coo_tocsr(
+            n, n, nnz,
+            np.concatenate((self.edge_v, self.edge_u), dtype=idx),
+            np.concatenate((self.edge_u, self.edge_v), dtype=idx),
+            np.concatenate((self.edge_w, self.edge_w)),
+            indptr, indices, data,
+        )
+        self.adjacency = sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
         for arr in (self.measure, self.killing, self.edge_u, self.edge_v, self.edge_w):
             arr.flags.writeable = False
@@ -319,75 +332,58 @@ def parse_graph_text(text: str) -> WeightedGraph:
     return _parse_lines(text) if g is None else g
 
 
-#: characters per run of whole lines that :func:`_parse_columns` splits
-#: at once; a run's tokens take a few times its size in memory
-_RUN_CHARS = 1 << 20
 #: every character of the layout :func:`format_graph_text` writes.  A
 #: value token of these reads the same with numpy as with ``float()``.
 _LAYOUT_CHARS = b"VE0123456789.e+- \n"
-_POW10 = 10.0 ** np.arange(1, 17)
+#: a token with a leading zero: ``int()`` refuses ids past 4300 digits,
+#: numpy reads ``000...01``
+_PADDED = re.compile(r" [-+]?0[0-9]")
+_V_ROW = np.dtype([("id", np.int64), ("m", float), ("c", float)])
+_E_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
+
+
+def _read_rows(section: str, row: np.dtype) -> np.ndarray:
+    """The last three tokens of every line, by numpy's C text reader."""
+    return np.loadtxt(io.StringIO(section), usecols=(1, 2, 3), dtype=row, comments=None, ndmin=1)
 
 
 def _parse_columns(text: str) -> WeightedGraph | None:
     """The graph of ``text`` read a column at a time, or None.
 
-    Takes the layout :func:`format_graph_text` writes: one record of
-    four tokens on every line, all ``V`` records first with the ids
-    ``0..n-1`` in order, then the ``E`` records with plain decimal ids,
-    each line ending in a newline.  Any other text, and any text that
-    :func:`_parse_lines` would refuse, gives None, and that loop then
-    reads it from the start and words its errors.
-
-    A line start is never an id or a number, so when a run of ``L``
-    lines of one kind splits into ``4 L`` tokens with that kind at every
-    fourth, every line holds one record of four tokens; a ``V`` line
-    after the first ``E`` line fails that count.
+    Takes the layout :func:`format_graph_text` writes: all ``V``
+    records first with the ids ``0..n-1`` in order, then the ``E``
+    records, four tokens and a newline on every line.  Any other text,
+    and any text :func:`_parse_lines` would refuse, gives None, and that
+    loop then reads it and words its errors.  Every line starts with
+    ``V`` or ``E``, numpy refuses a line of fewer than four tokens and
+    there are three spaces per line, so all are single spaces; and once
+    no id has a leading zero, numpy reads each token of these characters
+    as ``int()`` or ``float()`` does, or refuses it.
     """
-    if not (text.isascii() and text.endswith("\n") and text[0] == "V"):
+    if not (text.isascii() and text.endswith("\n") and text.startswith("V ")):
         return None
     lines = text.count("\n")
-    if text.count("\nV") + text.count("\nE") != lines - 1:
-        return None
-    split = text.find("\nE") + 1 or len(text)
+    split = text.find("\nE ") + 1 or len(text)
     n = text.count("\n", 0, split)
-    measure, killing = np.empty(n), np.empty(n)
-    edges = np.empty((lines - n, 3))
-    id_chars = 0
-    try:
-        for kind, start, stop in (("V", 0, split), ("E", split, len(text))):
-            row = 0
-            while start < stop:
-                end = text.find("\n", start + _RUN_CHARS, stop) + 1 or stop
-                run = text[start:end]
-                tok, count = run.split(), run.count("\n")
-                if (
-                    len(tok) != 4 * count
-                    or tok[0::4].count(kind) != count
-                    or run.encode("ascii").translate(None, _LAYOUT_CHARS)
-                ):
-                    return None
-                rows = slice(row, row + count)
-                if kind == "V":
-                    if tok[1::4] != list(map(str, range(row, row + count))):
-                        return None
-                    measure[rows] = np.array(tok[2::4], dtype=float)
-                    killing[rows] = np.array(tok[3::4], dtype=float)
-                else:
-                    ids = "".join(tok[1::4]) + "".join(tok[2::4])
-                    if not ids.isdigit():
-                        return None
-                    id_chars += len(ids)
-                    for k in range(3):
-                        edges[rows, k] = np.array(tok[k + 1 :: 4], dtype=float)
-                start, row = end, row + count
-        # as many id characters as digits: no leading zeros, so no id is
-        # too long for int()
-        digits = edges[:, :2].size + np.searchsorted(_POW10, edges[:, :2], "right").sum()
-        if id_chars != digits:
-            return None
-        return WeightedGraph(n, edges, measure, killing)
-    except ValueError:
+    if (
+        text.count("\nV ") != n - 1
+        or text.count("\nE ") != lines - n
+        or text.count(" ") != 3 * lines
+        or text.encode("ascii").translate(None, _LAYOUT_CHARS)
+        or _PADDED.search(text)
+    ):
         return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy 1.24 reads the int "1.0", warning
+            v = _read_rows(text[:split], _V_ROW)
+            if np.array_equal(v["id"], np.arange(n)):
+                e = _read_rows(text[split:], _E_ROW) if split < len(text) else np.empty(0, _E_ROW)
+                edges = np.column_stack((e["u"], e["v"], e["w"]))
+                return WeightedGraph(n, edges, v["m"].copy(), v["c"].copy())
+    except Exception:  # noqa: BLE001 - the loop words every error
+        pass
+    return None
 
 
 def _parse_lines(text: str) -> WeightedGraph:

@@ -710,7 +710,9 @@ def _term_matrix(
     lengths, need = [], {}
     for kind in kinds:
         reads = _SERIES_READS.get(kind, ("boundary", "measure"))
-        avail = p.value_depth(*reads) - (kind is SeriesKind.HAMBURGER)
+        avail = p.value_depth(*reads)
+        if kind is SeriesKind.HAMBURGER:  # its term r reads m(r+1)
+            avail = min(avail, p.value_depth("measure") - 1)
         n = max(int(min(depth, avail)), 0)
         lengths.append(n)
         for label in reads if n else ():

@@ -269,6 +269,19 @@ def test_capacity_zero_json(capsys):
     assert payload["extrapolated"] == 0.0
 
 
+def test_capacity_past_the_float_range_is_undecided(capsys):
+    # the depth-1250 comparison truncation's 2^r chain weights overflow
+    code, out, err = run(
+        capsys, "capacity", "--family", "pendant_boundary", "--depths", "1000"
+    )
+    assert code == INCONCLUSIVE
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "# classification: undecided",
+        "# 1*(r+1)^0*2^r leaves the float range at layer 1025; use a smaller depth",
+    ]
+
+
 def test_capacity_bad_depths(capsys):
     code, _, err = run(
         capsys, "capacity", "--family", "unit_chain", "--depths", "a,b"

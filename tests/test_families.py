@@ -6,10 +6,13 @@ with each other.  We cross-check truncations against the profile via
 sphere_decomposition, which is computed from the graph alone.
 """
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from formuniq import PreconditionError, StructuralError, gallery, gallery_names
+from formuniq import PreconditionError, StructuralError, families, gallery, gallery_names
 from formuniq.families import (
     SeqSpec,
     anti_tree,
@@ -221,6 +224,54 @@ def test_deep_tree_truncation_is_refused_by_its_vertex_count(depth):
     n = 2 ** (depth + 1) - 1  # the count alone refuses, before any allocation
     with pytest.raises(StructuralError, match=f"depth-{depth} truncation has {n} vertices"):
         gallery("binary_tree").build(depth)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+def test_builders_pass_edges_sorted_by_vertex_pair(name):
+    # so that WeightedGraph keeps them without a sort
+    seen = []
+    real = families.WeightedGraph
+
+    def spy(n, edges, **kw):
+        seen.append((n, edges))
+        return real(n, edges, **kw)
+
+    with mock.patch.object(families, "WeightedGraph", spy):
+        gallery(name).build(6)
+    (n, edges), = seen
+    u, v = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    assert np.all(u < v)
+    assert np.all(np.diff(u * n + v) > 0)
+
+
+DOUBLES, HALVES = "1*(r+1)^0*2^r", "1*(r+1)^0*0.5^r"
+
+
+@pytest.mark.parametrize(
+    "fam,form,layer",
+    [
+        # 2^1025 overflows, and 0.5^1075 underflows to zero
+        (pendant_chain(geometric(2.0), 1.0, 1.0, 1.0), DOUBLES, 1025),
+        (pendant_chain(1.0, geometric(0.5), 1.0, 1.0), HALVES, 1075),
+        (pendant_chain(1.0, 1.0, 1.0, geometric(0.5)), HALVES, 1075),
+        (star_chain(1.0, 1.0, 1.0, 1.0, geometric(0.5)), HALVES, 1075),
+        (double_ladder(1.0, 1.0, 1.0, 1.0, 1.0, geometric(0.5), 1.0, 1.0), HALVES, 1075),
+        (bilateral_chain(1.0, 1.0, geometric(2.0), 1.0), DOUBLES, 1025),
+    ],
+)
+def test_a_closed_form_past_the_float_range_names_its_layer(fam, form, layer):
+    message = f"{form} leaves the float range at layer {layer}; use a smaller depth"
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        fam.build(1100)
+    fam.build(1000)
+
+
+def test_an_override_is_not_a_closed_form_value():
+    # an override of zero is the graph's to refuse, as any zero weight
+    fam = pendant_chain(1.0, 1.0, SeqSpec(1.0, overrides=((3, 0.0),)), 1.0)
+    with pytest.raises(ValueError, match="non-positive weight 0.0") as exc:
+        fam.build(5)
+    assert not isinstance(exc.value, StructuralError)
 
 
 def test_sequence_underflow_is_reported():

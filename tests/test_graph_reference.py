@@ -10,11 +10,12 @@ same arrays bit for bit, and the same error messages.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formuniq.errors import StructuralError
-from formuniq.families import anti_tree, geometric, linear, SeqSpec, wss_tree
+from formuniq.families import anti_tree, geometric, linear, pendant_chain, SeqSpec, wss_tree
 from formuniq.graph import (
     SYMMETRY_TOL,
     WeightedGraph,
@@ -55,6 +56,16 @@ def reference_edges(n, edges):
         np.array([k[1] for k in keys], dtype=np.int64),
         np.array([weights[k] for k in keys], dtype=float),
     )
+
+
+def reference_adjacency(n, u, v, w):
+    """The adjacency of one stable argsort over the doubled edge list."""
+    rows = np.concatenate([v, u])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    cols, vals = np.concatenate([u, v]), np.concatenate([w, w])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
 
 def reference_unreachable_message(g, roots):
@@ -195,6 +206,70 @@ def test_constructor_matches_the_dict_loop(case):
     assert_same_edges(WeightedGraph(n, iter(edges), np.ones(n)), want)
     as_array = np.array(edges, dtype=float).reshape(-1, 3)
     assert_same_edges(WeightedGraph(n, as_array, np.ones(n)), want)
+
+
+def _truncation_edges(fam, depth):
+    g = fam.build(depth).graph
+    return g.vertex_count, np.column_stack((g.edge_u, g.edge_v, g.edge_w))
+
+
+TRUNCATIONS = [
+    _truncation_edges(anti_tree(linear()), 40),
+    _truncation_edges(wss_tree(2), 12),
+    _truncation_edges(pendant_chain(geometric(2.0), geometric(0.5), geometric(0.5), 1.0), 40),
+]
+
+
+@st.composite
+def edge_arrays(draw):
+    """Canonical edges (a random simple graph or a family truncation)
+    given in order, shuffled or reversed, each row in either orientation,
+    with repeats whose weights agree or clash."""
+    if draw(st.booleans()):
+        n, edges = draw(st.sampled_from(TRUNCATIONS))
+    else:
+        n = draw(st.integers(1, 40))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        pairs = sorted({(min(e), max(e)) for e in draw(st.lists(pairs, max_size=60))})
+        ws = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(pairs), max_size=len(pairs)))
+        edges = np.array([(x, y, b) for (x, y), b in zip(pairs, ws)], dtype=float).reshape(-1, 3)
+    order = draw(st.sampled_from(["canonical", "shuffled", "reversed"]))
+    if order == "shuffled":
+        edges = edges[np.random.default_rng(draw(st.integers(0, 2**32))).permutation(len(edges))]
+    elif order == "reversed":
+        edges = edges[::-1]
+    if len(edges) and draw(st.booleans()):
+        edges = edges.copy()
+        flip = np.random.default_rng(draw(st.integers(0, 2**32))).random(len(edges)) < 0.5
+        edges[flip, :2] = edges[flip, 1::-1]
+    repeats = draw(st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=4))
+    if len(edges) and repeats:
+        extra = [edges[i % len(edges)].copy() for i, _ in repeats]
+        for row, (_, clash) in zip(extra, repeats):
+            row[2] = row[2] * 2.0 if clash else row[2]
+        edges = np.concatenate([edges, extra])
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_arrays())
+def test_constructor_matches_the_argsort_adjacency(case):
+    n, edges = case
+    try:
+        want = reference_edges(n, edges.tolist())
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            WeightedGraph(n, edges, np.ones(n))
+        assert str(got.value) == str(exc)
+        return
+    g = WeightedGraph(n, edges, np.ones(n))
+    assert_same_edges(g, want)
+    assert not np.shares_memory(g.edge_w, edges)  # frozen arrays are the graph's own
+    ref = reference_adjacency(n, *want)
+    for a in ("data", "indices", "indptr"):
+        got, exp = getattr(g.adjacency, a), getattr(ref, a)
+        assert got.dtype == exp.dtype
+        assert got.tobytes() == exp.tobytes()
 
 
 def test_constructor_keeps_the_first_of_many_repeats():

@@ -556,6 +556,7 @@ def test_series_terms_match_scalar_reference(kind):
         truncation_profile("binary_tree", 5),
         unit,
         only_measure_custom(unit),
+        only_boundary_custom(unit),
     ]
     for p in profiles:
         if kind is SeriesKind.HAMBURGER and not (p.is_birth_death and p.killing_is_zero):
@@ -711,6 +712,37 @@ def only_measure_custom(p):
     )
 
 
+def only_boundary_custom(p):
+    """``p`` as a chain without killing whose boundary tail alone is custom."""
+    return dataclasses.replace(
+        p,
+        boundary_tail=CustomTail(None),
+        measure_tail=PowerGeomTail(1.0, 0.0, 0.5),
+        killing_tail=ZERO_TAIL,
+        count_tail=PowerGeomTail(1.0),
+    )
+
+
+def test_chain_growth_row_reads_a_closed_measure_past_a_custom_boundary():
+    # term r = 4 of a 5-radius chain reads b(4) from the prefix and m(5)
+    # from the closed measure tail, so it exists
+    p = chain_profile(
+        [1.0, 2.0, 4.0, 8.0, 16.0],
+        0.5 ** np.arange(5),
+        boundary_tail=CustomTail(None),
+        measure_tail=PowerGeomTail(1.0, 0.0, 0.5),
+    )
+    terms = series_terms(p, SeriesKind.HAMBURGER, 64)
+    resistance = np.cumsum(1.0 / p.boundary_prefix)
+    np.testing.assert_array_equal(terms, resistance**2 * 0.5 ** np.arange(1, 6))
+    v = verdict_bundle(p)[SeriesKind.HAMBURGER]
+    assert v.sample_depths == (1, 2, 4, 5)
+    assert v.partial_sums[-1] == np.cumsum(terms)[-1]
+    # a custom measure tail hides m(5): the row stops one short
+    q = dataclasses.replace(p, measure_tail=CustomTail(None))
+    assert len(series_terms(q, SeriesKind.HAMBURGER, 64)) == 4
+
+
 def test_verdict_bundle_equals_per_kind_verdicts():
     # the bundle evaluates all kinds in one pass; every field of every
     # verdict must be bit for bit what the kind computes alone
@@ -726,6 +758,8 @@ def test_verdict_bundle_equals_per_kind_verdicts():
         # rows of unequal length: the resistance row runs to full depth,
         # the chain growth row stops one short of the prefix
         only_measure_custom(unit),
+        # the boundary alone custom: every row stops at the prefix
+        only_boundary_custom(unit),
         overflowing_profile(),
         # infinite total measure: complement masses in the interchanged order
         birth_death(geometric(0.5), power_seq(1.0), prefix_len=48).profile,
