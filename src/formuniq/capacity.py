@@ -71,8 +71,16 @@ def degree_path_lengths(g: WeightedGraph) -> EdgeLengths:
     The larger-degree endpoint sets the edge length.  Strongly
     intrinsic by construction, since at every vertex
     sum_y b(x,y) / max(Deg(x), Deg(y)) <= sum_y b(x,y) / Deg(x) <= m(x).
+    A degree past the float range raises :class:`StructuralError`.
     """
-    deg = degrees(g)
+    with np.errstate(over="ignore"):
+        deg = degrees(g)
+    overflow = np.flatnonzero(~np.isfinite(deg))
+    if len(overflow):
+        raise StructuralError(
+            f"the weighted degree of vertex {overflow[0]}, (sum of b + c) / m, "
+            "leaves the float range"
+        )
     pair_max = np.maximum(deg[g.edge_u], deg[g.edge_v])
     if np.any(pair_max <= 0):
         raise StructuralError("a vertex with an edge has zero weighted degree")
@@ -431,18 +439,17 @@ def profile_boundary_capacity(
 def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
     _check_depths(depths)
     depth = max(depths)
-    try:
-        base, deeper = (family.build(d) for d in (depth, depth + max(4, depth // 4)))
-    except StructuralError as exc:  # a closed form left the float range
-        return CapacityEstimate(family.name, (), None, "undecided", (str(exc),))
 
     def tail_distances(trunc):
         sigma = degree_path_lengths(trunc.graph)
         deepest = np.nonzero(trunc.layer == trunc.depth)[0]
         return shortest_paths(trunc.graph, sigma, deepest)
 
-    dist_base = tail_distances(base)
-    dist_deep = tail_distances(deeper)
+    try:
+        base, deeper = (family.build(d) for d in (depth, depth + max(4, depth // 4)))
+        dist_base, dist_deep = tail_distances(base), tail_distances(deeper)
+    except StructuralError as exc:  # a closed form or a degree left the float range
+        return CapacityEstimate(family.name, (), None, "undecided", (str(exc),))
     finite = dist_base[np.isfinite(dist_base)]
     scale = float(finite.max()) / 4 if len(finite) else 1.0
 

@@ -20,9 +20,7 @@ Vertex functions are plain numpy arrays indexed by vertex id.
 from __future__ import annotations
 
 import io
-import re
 import warnings
-from itertools import repeat
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -322,8 +320,10 @@ def induced_subgraph(
 #   V <id> <m> <c>
 #   E <id1> <id2> <b>
 # '#' starts a comment; blank lines are ignored.  Vertex ids must form
-# the contiguous range 0..n-1.  The layout format_graph_text writes is
-# read a column at a time, any other text line by line.
+# the contiguous range 0..n-1.  format_graph_text writes the V records in
+# id order, then the E records in (u, v) order, single-spaced, floats as
+# repr writes them.  That layout is read a column at a time, any other
+# text line by line.
 # ---------------------------------------------------------------------------
 
 
@@ -335,9 +335,6 @@ def parse_graph_text(text: str) -> WeightedGraph:
 #: every character of the layout :func:`format_graph_text` writes.  A
 #: value token of these reads the same with numpy as with ``float()``.
 _LAYOUT_CHARS = b"VE0123456789.e+- \n"
-#: a token with a leading zero: ``int()`` refuses ids past 4300 digits,
-#: numpy reads ``000...01``
-_PADDED = re.compile(r" [-+]?0[0-9]")
 _V_ROW = np.dtype([("id", np.int64), ("m", float), ("c", float)])
 _E_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
 
@@ -345,6 +342,23 @@ _E_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", float)])
 def _read_rows(section: str, row: np.dtype) -> np.ndarray:
     """The last three tokens of every line, by numpy's C text reader."""
     return np.loadtxt(io.StringIO(section), usecols=(1, 2, 3), dtype=row, comments=None, ndmin=1)
+
+
+def _padded(raw: bytes, space: np.ndarray) -> bool:
+    """Whether a token of the text ``raw`` (``space`` where its bytes are
+    spaces) starts ``0``, ``+0`` or ``-0`` and then a digit.
+
+    ``int()`` refuses ids past 4300 digits; numpy reads ``000...01``.
+    The text ends in a newline, so a ``0`` always has a byte after it.
+    """
+    a = np.frombuffer(raw, np.uint8)
+    zero = np.flatnonzero(space[:-2] & (a[1:-1] == ord("0"))) + 1
+    if b"+" in raw or b"-" in raw:
+        sign = space[:-2] & ((a[1:-1] == ord("+")) | (a[1:-1] == ord("-")))
+        after_sign = np.flatnonzero(sign) + 2
+        zero = np.concatenate((zero, after_sign[a[after_sign] == ord("0")]))
+    after = a[zero + 1]
+    return bool(((after >= ord("0")) & (after <= ord("9"))).any())
 
 
 def _parse_columns(text: str) -> WeightedGraph | None:
@@ -355,24 +369,32 @@ def _parse_columns(text: str) -> WeightedGraph | None:
     records, four tokens and a newline on every line.  Any other text,
     and any text :func:`_parse_lines` would refuse, gives None, and that
     loop then reads it and words its errors.  Every line starts with
-    ``V`` or ``E``, numpy refuses a line of fewer than four tokens and
-    there are three spaces per line, so all are single spaces; and once
-    no id has a leading zero, numpy reads each token of these characters
-    as ``int()`` or ``float()`` does, or refuses it.
+    ``V`` or ``E`` and a space, numpy refuses a line of fewer than four
+    tokens and there are three spaces per line, so all are single
+    spaces; and once no token has a leading zero, numpy reads each
+    token of these characters as ``int()`` or ``float()`` does, or
+    refuses it.  The layout is checked on the text's bytes, in a few
+    numpy passes, before numpy reads a number.
     """
     if not (text.isascii() and text.endswith("\n") and text.startswith("V ")):
         return None
-    lines = text.count("\n")
-    split = text.find("\nE ") + 1 or len(text)
-    n = text.count("\n", 0, split)
-    if (
-        text.count("\nV ") != n - 1
-        or text.count("\nE ") != lines - n
-        or text.count(" ") != 3 * lines
-        or text.encode("ascii").translate(None, _LAYOUT_CHARS)
-        or _PADDED.search(text)
+    raw = text.encode("ascii")
+    if raw.translate(None, _LAYOUT_CHARS):
+        return None
+    a = np.frombuffer(raw, np.uint8)
+    space = a == ord(" ")
+    starts = np.flatnonzero(a == ord("\n"))[:-1] + 1  # of every line but the first
+    head = a[starts]
+    n = 1 + int(np.count_nonzero(head == ord("V")))
+    # the last heads are E, so the n - 1 V heads come first
+    if not (
+        (head[n - 1 :] == ord("E")).all()
+        and space[starts + 1].all()
+        and np.count_nonzero(space) == 3 * (len(starts) + 1)
+        and not _padded(raw, space)
     ):
         return None
+    split = int(starts[n - 1]) if n <= len(starts) else len(text)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy 1.24 reads the int "1.0", warning
@@ -432,26 +454,38 @@ def _parse_lines(text: str) -> WeightedGraph:
         raise GraphFormatError(str(exc)) from None
 
 
+def _value_pieces(x: np.ndarray, end: str) -> np.ndarray:
+    """``repr(v) + end`` for every value ``v`` of ``x``, as an object array.
+
+    Each distinct value is written once: equal neighbours are found in
+    one pass, and the values of the runs are told apart by bit pattern,
+    so ``-0.0`` and ``0.0`` keep their own text.
+    """
+    if not len(x):
+        return np.empty(0, dtype=object)
+    bits = x.view(np.uint64)
+    run = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    distinct, which = np.unique(bits[run], return_inverse=True)
+    text = np.array([f"{v!r}{end}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    return np.repeat(text[which.reshape(-1)], np.diff(run, append=len(bits)))
+
+
 def format_graph_text(g: WeightedGraph) -> str:
-    # tolist() hands out Python ints and floats, whose str and repr are
-    # those of the numpy scalars; each id is written once and looked up
-    ids = list(map(str, range(g.vertex_count)))
-    lines = list(
-        map(
-            " ".join,
-            zip(repeat("V"), ids, map(repr, g.measure.tolist()), map(repr, g.killing.tolist())),
-        )
-    )
-    lines += map(
-        " ".join,
-        zip(
-            repeat("E"),
-            map(ids.__getitem__, g.edge_u.tolist()),
-            map(ids.__getitem__, g.edge_v.tolist()),
-            map(repr, g.edge_w.tolist()),
-        ),
-    )
-    return "\n".join(lines) + "\n"
+    """The text of ``g``: four pieces per record, each id's text and each
+    distinct value's ``repr`` made once, gathered by array indexing and
+    joined in one call."""
+    n = g.vertex_count
+    ids = np.array([f"{i} " for i in range(n)], dtype=object)
+    pieces = np.empty((n + g.edge_count, 4), dtype=object)
+    pieces[:n, 0] = "V "
+    pieces[:n, 1] = ids
+    pieces[:n, 2] = _value_pieces(g.measure, " ")
+    pieces[:n, 3] = _value_pieces(g.killing, "\n")
+    pieces[n:, 0] = "E "
+    pieces[n:, 1] = ids[g.edge_u]
+    pieces[n:, 2] = ids[g.edge_v]
+    pieces[n:, 3] = _value_pieces(g.edge_w, "\n")
+    return "".join(pieces.ravel().tolist())
 
 
 def load_graph(source: str | TextIO) -> WeightedGraph:

@@ -282,6 +282,24 @@ def test_capacity_past_the_float_range_is_undecided(capsys):
     ]
 
 
+@pytest.mark.parametrize("depth", ["411", "819", "820"])
+def test_capacity_past_the_float_range_of_a_degree_is_undecided(capsys, depth):
+    # from depth 411 on, the comparison truncation (depth + depth // 4)
+    # holds layer 512, whose degree, about 2^512 / 0.5^512, overflows while
+    # every closed form still fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "capacity", "--family", "pendant_boundary", "--depths", depth
+        )
+    assert code == INCONCLUSIVE
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "# classification: undecided",
+        "# the weighted degree of vertex 1024, (sum of b + c) / m, leaves the float range",
+    ]
+
+
 def test_capacity_bad_depths(capsys):
     code, _, err = run(
         capsys, "capacity", "--family", "unit_chain", "--depths", "a,b"

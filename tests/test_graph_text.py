@@ -1,5 +1,5 @@
 """The graph text format: the column reader against the line loop, and
-the column writer against the per-line f-string it replaced.
+the piece writer against the per-line f-string it replaced.
 
 ``parse_graph_text`` reads the layout ``format_graph_text`` writes a
 column at a time and hands every other text to the line loop, which
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formuniq import graph
-from formuniq.families import anti_tree, linear, wss_tree
+from formuniq.families import GALLERY, anti_tree, linear, wss_tree
 from formuniq.graph import WeightedGraph, format_graph_text, parse_graph_text
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,23 @@ def test_layout_text_is_read_in_columns(text):
     assert outcome(lambda t: g, text) == outcome(graph._parse_lines, text)
 
 
+#: texts that one layout check refuses and numpy's reader alone would
+#: take: the column reader must leave each to the loop
+NEAR_LAYOUT = [
+    PATH.replace("V 1", "1 1"),  # a V record typed by a digit
+    PATH.replace("E 1", "1 1"),  # an E record typed by a digit
+    PATH.replace("E 0 1", "E 0  1"),  # two spaces
+    PATH.replace("2.0\n", "2.0 \n"),  # a trailing space
+    PATH.replace("E 0 1", "E 0 +" + "0" * 5000 + "1"),  # signed, past int()'s digit limit
+]
+
+
+@pytest.mark.parametrize("text", NEAR_LAYOUT)
+def test_near_layout_text_is_left_to_the_loop(text):
+    assert graph._parse_columns(text) is None
+    assert_same_as_the_loop(text)
+
+
 # the column reader turns numpy's warnings into a refusal whatever filter
 # its caller has set, and leaves that filter as it found it
 CALLER_FILTERS = ["error", "ignore", "default"]
@@ -285,3 +302,63 @@ def test_format_writes_the_bytes_of_the_f_string_writer():
     g = WeightedGraph(n, edges + [(11, 10, 1e22)], measure, killing)
     assert format_graph_text(g) == reference_format(g)
 
+
+@pytest.mark.parametrize("depth", [3, 8])
+@pytest.mark.parametrize("name", list(GALLERY))
+def test_format_writes_every_gallery_truncation_as_the_f_string_writer(name, depth):
+    g = GALLERY[name]().build(depth).graph
+    assert format_graph_text(g) == reference_format(g)
+
+
+def _path(n, weights, measure, killing=None):
+    return WeightedGraph(n, [(i, i + 1, w) for i, w in zip(range(n - 1), weights)], measure, killing)
+
+
+INF = float("inf")
+
+WRITER_CASES = {
+    # runs of 0.0 and -0.0 and the two interleaved: equal as floats,
+    # written apart
+    "signed zeros": _path(
+        60, [1.0] * 59, [1.0] * 60, [0.0] * 10 + [-0.0] * 10 + [0.0, -0.0] * 15 + [-0.0, 0.0] * 5
+    ),
+    "repeated inf measure": _path(
+        30, [2.0] * 29, [INF] * 10 + [1.0, INF] * 5 + [INF] * 10, [0.0] * 29 + [INF]
+    ),
+    "all distinct": _path(
+        200, (np.arange(1, 200) * (0.1 + 0.2)).tolist(), (np.arange(1, 201) / 7).tolist(),
+        (np.arange(200) * 1e-5).tolist(),
+    ),
+    "edgeless": WeightedGraph(5, [], [1.0, 0.5, 0.5, 1e16, 1e-5], [-0.0, 0.0, 0.0, 1e16, 1e-5]),
+    "one vertex": WeightedGraph(1, [], [5e-324], [-0.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_format_writes_the_edge_cases_as_the_f_string_writer(case):
+    g = WRITER_CASES[case]
+    assert format_graph_text(g) == reference_format(g)
+
+
+#: few values, so that a graph repeats each of them, in runs and apart;
+#: 0.0 and -0.0 are equal as floats and written apart
+POOL = [0.0, -0.0, 1.0, 0.5, 1e16, 1e-5, 9999999999999998.0, 5e-324, 0.1 + 0.2, INF]
+
+
+@st.composite
+def pooled_graphs(draw):
+    pool = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=4))
+    positive = [v for v in pool if v > 0] or [1.0]
+    n = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pair_lists = st.lists(pairs, max_size=50, unique_by=lambda e: (min(e), max(e)))
+    edges = [(x, y, draw(st.sampled_from(positive))) for x, y in draw(pair_lists)] if n > 1 else []
+    measure = draw(st.lists(st.sampled_from(positive), min_size=n, max_size=n))
+    killing = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return WeightedGraph(n, edges, measure, killing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_graphs())
+def test_format_of_repeated_values_is_the_f_string_writer(g):
+    assert format_graph_text(g) == reference_format(g)

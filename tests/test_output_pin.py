@@ -1,8 +1,10 @@
-"""The bytes of ``formuniq analyze``, text and ``--json``, pinned by sha256.
+"""The bytes of ``formuniq analyze``, text and ``--json``, and of
+``formuniq family --emit graph``, pinned by sha256.
 
-The cases are the weakly spherically symmetric gallery and 20 seeded
-chains: zero-killing, with killing, and from the whole tail grammar
-(C in [1e-3, 1e3], p in [-6, 6], rho in [0.05, 20]).  Speed work must
+The ``analyze`` cases are the weakly spherically symmetric gallery and
+20 seeded chains: zero-killing, with killing, and from the whole tail
+grammar (C in [1e-3, 1e3], p in [-6, 6], rho in [0.05, 20]).  The
+``family`` cases are every gallery family at two depths.  Speed work must
 keep these bytes.  A change that alters them on purpose updates the
 digests, printed by ``PYTHONPATH=src python tests/test_output_pin.py``,
 and lists each changed case in CHANGES.md.
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from formuniq.cli import main
-from formuniq.families import WSS_GALLERY, SeqSpec, birth_death, gallery
+from formuniq.families import GALLERY, WSS_GALLERY, SeqSpec, birth_death, gallery
 from formuniq.series import format_profile_text, parse_profile_text
 
 
@@ -164,6 +166,63 @@ PINS = {
 }
 
 
+#: sha256 of ``formuniq family --name <f> --depth <d> --emit graph`` for
+#: every gallery family at the depths :data:`EMIT_DEPTHS`.  Every value
+#: these truncations hold is an integer or a power of two, so the bytes do
+#: not depend on how a numpy build rounds pow.
+EMIT_DEPTHS = (3, 8)
+EMIT_PINS = {
+    "geometric_chain": (
+        "17845b7da0dc167ba10768cca8b9f7fa1e2af07c8ca3c9da9f7af8fbc6f7b1f1",
+        "c148b7fd0988fc16ddf8bb061acb5caea32dd761530805576a95a0907ec14236",
+    ),
+    "unit_chain": (
+        "f7cf1d0b8b62dde89ef0e69fb5a72f2fc11f7d5bf7f229cf78421742e34b160e",
+        "65925158f9663837f1a25621b023ffee0cfcf4d97cf5e5e28291f10e69ee77dc",
+    ),
+    "square_chain": (
+        "082730579181273879a19713be2a67a9d9552f67d2e963118c97b9e9eb7da1f2",
+        "092e1a1adaada12f25b1dcfff7e929674ca51b97c956751a8e35cdd4cf15b45e",
+    ),
+    "binary_tree": (
+        "fafca57cd599339730f13f57147e2533dd6b73544c02c6493204099dba55fb56",
+        "090193d3b1ea6adf59aacc792f6d3bad144b993866b1aadda624287394291353",
+    ),
+    "linear_anti_tree": (
+        "dfee6c7203ca406a59185ad7fbc5e8a37a6f2b1ec52a9f9c8522c4daa84b53a0",
+        "a3152b0ce1ec905e1e2b3d8a950a5862836ce08b47f441d1cfc2f36a0eda28f9",
+    ),
+    "quadratic_anti_tree": (
+        "baa824136d8195856034e3434d24c4687b8065049a2129a7d2ab5aff8e7a223f",
+        "832216aa8030255772ba931ccf3f37d915b6943d24648ea90e4058f5dc767caa",
+    ),
+    "geom_mass_anti_tree": (
+        "3697655603cd4d3b4ac898fb4bef05e7597120f14a86ccc1a29afedf3dd242da",
+        "ad72cffed02b721c7931a734c047a7d08a14620339bb9d60327c16d09c8a0107",
+    ),
+    "bilateral_mixed": (
+        "d875dd3965abfbc060d6dcd9ab84efc43021feb3caa122b9de7d8a4bbe8b69fc",
+        "0174f394b01f37ba84357c093c0b0554018b85116458bdd1eec7a83a68a10d83",
+    ),
+    "pendant_boundary": (
+        "19ce8f43ee3d74b194e4c498058f53204f15aed7dfa95164a48619fa21488a84",
+        "c2126f8f195017b271a3865d11a9f68485cc4227a80ff033568f3ee690285b70",
+    ),
+    "pendant_instability": (
+        "d33fc1192cca90c508d789b578a090374d6aef4fc515fbe300b87e568ea08141",
+        "0796caff3faf0c02204fe712e8c00ca2eab9613ce1cab34cdcb2f927fa1411dd",
+    ),
+    "star_instability": (
+        "d85395b47c50d7ce266606641027a1817db56372c8e8bd0708ba07bb5d499efe",
+        "289bc788e48c6f531d7c55dbd9700de9445ff53c397697bd3e1768a964db6e6e",
+    ),
+    "ladder_instability": (
+        "53cbb93f9cbaa87d872aab421c24607a441e862d11a48deb2d569ffb8cc23087",
+        "d46fbe2c270f4c6f8b76745beb014b929a55339a694ad42d954d103904504130",
+    ),
+}
+
+
 CASES = pinned_cases()
 
 
@@ -199,8 +258,23 @@ def test_analyze_bytes_are_pinned(case, mode):
     assert digest(argv, text) == PINS[case][mode == "json"]
 
 
+@pytest.mark.parametrize("depth", EMIT_DEPTHS)
+@pytest.mark.parametrize("name", list(GALLERY))
+def test_emitted_graph_bytes_are_pinned(name, depth):
+    argv = ["family", "--name", name, "--depth", str(depth), "--emit", "graph"]
+    assert digest(argv, "") == EMIT_PINS[name][EMIT_DEPTHS.index(depth)]
+
+
 if __name__ == "__main__":
     print(f'RECORDED_CANARY = "{float_canary()}"')
     for case, (argv, text) in CASES.items():
         print(f'    "{case}": (\n        "{digest(argv, text)}",')
         print(f'        "{digest(argv + ["--json"], text)}",\n    ),')
+    print("EMIT_PINS = {")
+    for name in GALLERY:
+        print(f'    "{name}": (')
+        for depth in EMIT_DEPTHS:
+            argv = ["family", "--name", name, "--depth", str(depth), "--emit", "graph"]
+            print(f'        "{digest(argv, "")}",')
+        print("    ),")
+    print("}")
