@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -23,26 +24,19 @@ from . import capacity, criteria, families, graph, harmonic, series, stability
 
 OK, INPUT_ERROR, INCONCLUSIVE = 0, 2, 3
 
-# constructor name -> (callable, parameter names in order, required count)
+# constructor name -> constructor; its positional parameters are the --params
+# keys, and those without a default are required
 _CONSTRUCTORS = {
-    "birth_death": (families.birth_death, ("b", "m", "c"), 2),
-    "wss_tree": (families.wss_tree, ("k",), 1),
-    "anti_tree": (families.anti_tree, ("s", "m_vertex"), 1),
-    "bilateral_chain": (
-        families.bilateral_chain, ("pos_b", "pos_m", "neg_b", "neg_m"), 4,
-    ),
-    "pendant_chain": (
+    ctor.__name__: ctor
+    for ctor in (
+        families.birth_death,
+        families.wss_tree,
+        families.anti_tree,
+        families.bilateral_chain,
         families.pendant_chain,
-        ("chain_b", "chain_m", "vertical_b", "pendant_m"), 4,
-    ),
-    "star_chain": (
         families.star_chain,
-        ("chain_b", "chain_m", "vertical_b", "pendant_m", "hub_b", "hub_m"), 5,
-    ),
-    "double_ladder": (
         families.double_ladder,
-        ("x_b", "x_m", "y_b", "y_m", "z_b", "z_m", "xy_b", "yz_b"), 8,
-    ),
+    )
 }
 
 
@@ -67,21 +61,22 @@ def _resolve_family(name: str, params: list[str]) -> families.Family:
     if name not in _CONSTRUCTORS:
         known = ", ".join(sorted(families.GALLERY) + sorted(_CONSTRUCTORS))
         raise ValueError(f"unknown family {name!r}; known: {known}")
-    ctor, param_names, required = _CONSTRUCTORS[name]
+    ctor = _CONSTRUCTORS[name]
+    accepted = [
+        p for p in inspect.signature(ctor).parameters.values()
+        if p.kind is p.POSITIONAL_OR_KEYWORD
+    ]
     raw = _parse_params(params)
-    unknown = set(raw) - set(param_names)
+    unknown = set(raw) - {p.name for p in accepted}
     if unknown:
         raise ValueError(
             f"unknown parameter(s) {sorted(unknown)} for {name}; "
-            f"accepted: {', '.join(param_names)}"
+            f"accepted: {', '.join(p.name for p in accepted)}"
         )
-    missing = [p for p in param_names[:required] if p not in raw]
+    missing = [p.name for p in accepted if p.default is p.empty and p.name not in raw]
     if missing:
         raise ValueError(f"{name} requires --params {' '.join(missing)}")
-    kwargs = {}
-    for key, value in raw.items():
-        kwargs[key] = float(value) if key == "hub_m" else series.parse_seq(value)
-    return ctor(**kwargs)
+    return ctor(**{key: series.parse_seq(value) for key, value in raw.items()})
 
 
 def _family_profile(fam: families.Family) -> series.RadialProfile:
@@ -186,10 +181,20 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_harmonic(args) -> int:
     profile = _load_profile_arg(args)
-    sol = harmonic.solve_symmetric_harmonic(profile, args.alpha, args.u0, args.depth)
+    depth, cut = args.depth, ""
+    if 0 < depth <= profile.value_depth("boundary"):
+        # a closed-form boundary tail can underflow to 0.0: the recurrence
+        # runs up to the first radius where it does
+        b = profile.values("boundary", depth).tolist()
+        low = next((r for r, w in enumerate(b) if not w > 0), None)
+        if low is not None:
+            depth = low
+            cut = f"layer boundary weight dB({low}) underflows to 0.0; solved to depth {low}"
+    sol = harmonic.solve_symmetric_harmonic(profile, args.alpha, args.u0, depth)
     membership = harmonic.membership_report(profile, sol)
     rows = sol.finite_rows
-    note = f"u leaves the float range at r={rows}" if rows <= sol.depth else ""
+    overflow = f"u leaves the float range at r={rows}" if rows <= sol.depth else ""
+    note = "; ".join(filter(None, (overflow, cut)))
     if args.json:
         payload = {
             "alpha": sol.alpha,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from itertools import chain
 
 import numpy as np
@@ -32,9 +32,13 @@ from .series import (
     RadialProfile,
     SeqSpec,
     ZERO_TAIL,
+    tail_add,
+    tail_bounded_below,
     tail_converges,
     tail_mul,
+    tail_reciprocal,
     tail_shift,
+    tail_square,
 )
 
 # Long enough for every desk-scale computation (harmonic depth ~30,
@@ -198,7 +202,16 @@ class Truncation:
 
 @dataclass
 class Family:
-    """A parameterized infinite graph with consistent finite views."""
+    """A parameterized infinite graph with consistent finite views.
+
+    A composite family also declares, as closures evaluated on call,
+    ``crossing_degree``: the ``(label, class)`` pairs of the closed-form
+    crossing degrees of its canonical split, empty when X1 is finite;
+    and, for a gluing counterexample, ``replay``: the anchor rail, the
+    rail attached to it, the weight of the witness edges between the
+    two, and its series hypotheses as ``(wording, holds)`` pairs, in
+    order, each evaluated when it is reached.
+    """
 
     name: str
     kind: str
@@ -208,10 +221,31 @@ class Family:
     x1_profile: RadialProfile | None = None
     x1_role: str = ""
     params: Mapping[str, SeqSpec] = field(default_factory=dict)
-    notes: str = ""
+    crossing_degree: Callable[[], tuple[tuple[str, PowerGeomTail | None], ...]] | None = None
+    replay: Callable[[], tuple[str, str, SeqSpec, Iterator[tuple[str, bool | None]]]] | None = None
 
     def __repr__(self) -> str:  # params are noisy; keep repr scannable
         return f"Family({self.name!r}, kind={self.kind!r})"
+
+
+def _ratio(num: SeqSpec, den: SeqSpec) -> PowerGeomTail | None:
+    """Class of ``num / den``."""
+    return tail_mul(num.tail_class(), tail_reciprocal(den.tail_class()))
+
+
+def _pendant_degrees(cm: SeqSpec, vb: SeqSpec, pm: SeqSpec) -> tuple:
+    """The crossing degrees of the chain and pendant vertices of a pendant
+    or star chain, split along the chain."""
+    return (
+        ("Deg_b(chain k) = vertical_b/chain_m", _ratio(vb, cm)),
+        ("Deg_b(x_k) = vertical_b/pendant_m", _ratio(vb, pm)),
+    )
+
+
+def _chain_hypotheses(b: SeqSpec, m: SeqSpec, what: str) -> Iterator[tuple[str, bool | None]]:
+    """A rail that is a chain failing form uniqueness on its own."""
+    yield f"{what}: total measure finite", tail_converges(m.tail_class())
+    yield f"{what}: summable resistance", tail_converges(tail_reciprocal(b.tail_class()))
 
 
 def _chain_profile(
@@ -436,6 +470,7 @@ def bilateral_chain(
         end_profiles=ends,
         x1_role="origin",
         params={"pos_b": pb, "pos_m": pm, "neg_b": nb, "neg_m": nm},
+        crossing_degree=lambda: (),  # X1 = {origin} meets finitely many edges
     )
 
 
@@ -468,6 +503,15 @@ def pendant_chain(
         roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
         return Truncation(g, 0, depth, roles, np.repeat(k, 2))
 
+    def hypotheses() -> Iterator[tuple[str, bool | None]]:
+        yield from _chain_hypotheses(cb, cm, "chain")
+        v, p = vb.tail_class(), pm.tail_class()
+        ratio = tail_mul(tail_mul(v, tail_square(p)), tail_reciprocal(tail_square(tail_add(v, p))))
+        yield (
+            "sum_k vertical_b * pendant_m^2 / (vertical_b + pendant_m)^2 diverges",
+            tail_converges(ratio) is False,
+        )
+
     return Family(
         name=name,
         kind="pendant",
@@ -475,6 +519,8 @@ def pendant_chain(
         x1_profile=x1_profile,
         x1_role="chain",
         params={"chain_b": cb, "chain_m": cm, "vertical_b": vb, "pendant_m": pm},
+        crossing_degree=lambda: _pendant_degrees(cm, vb, pm),
+        replay=lambda: ("chain", "pendant", vb, hypotheses()),
     )
 
 
@@ -484,7 +530,7 @@ def star_chain(
     vertical_b: SeqSpec | float,
     pendant_m: SeqSpec | float,
     hub_b: SeqSpec | float,
-    hub_m: float = 1.0,
+    hub_m: SeqSpec | float = 1.0,
     *,
     name: str = "star_chain",
     prefix_len: int = DEFAULT_PREFIX,
@@ -492,12 +538,15 @@ def star_chain(
     """Pendant chain whose pendants are additionally joined to one hub.
 
     The hub o carries edges b(o, x_k) = hub_b(k) with a summable row
-    (enforced), making X2 = {o, x_0, x_1, ...} a connected star.
-    Vertex ids: hub -> 0, chain k -> 1+2k, x_k -> 2+2k.
+    (enforced), making X2 = {o, x_0, x_1, ...} a connected star.  The
+    hub's measure ``hub_m`` must be a constant.  Vertex ids: hub -> 0,
+    chain k -> 1+2k, x_k -> 2+2k.
     """
     cb, cm = as_seq(chain_b), as_seq(chain_m)
     vb, pm = as_seq(vertical_b), as_seq(pendant_m)
-    hb = as_seq(hub_b)
+    hb, hm = as_seq(hub_b), as_seq(hub_m)
+    if hm.power != 0 or hm.ratio != 1 or hm.overrides:
+        raise PreconditionError(f"the hub measure hub_m must be a constant, got {hm.describe()}")
     if tail_converges(hb.tail_class()) is not True:
         raise PreconditionError("hub edge weights must be summable: sum_k b(o, x_k) < inf")
     x1_profile = _chain_profile(cb, cm, const(0.0), prefix_len, f"{name}/chain")
@@ -510,10 +559,15 @@ def star_chain(
             _edges((np.zeros_like(k), 2 + 2 * k, _values(hb, k))),
             _edges((1 + 2 * k, 2 + 2 * k, _values(vb, k)), chain),
         ))
-        measure = np.concatenate(([hub_m], np.column_stack((_values(cm, k), _values(pm, k))).ravel()))
+        measure = np.concatenate(([hm.coeff], np.column_stack((_values(cm, k), _values(pm, k))).ravel()))
         g = WeightedGraph(len(measure), edges, measure=measure)
         roles = ("hub",) + tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
         return Truncation(g, 1, depth, roles, np.concatenate(([0], np.repeat(k, 2))))
+
+    def hypotheses() -> Iterator[tuple[str, bool | None]]:
+        yield from _chain_hypotheses(cb, cm, "chain")
+        yield "inf_k pendant_m > 0", tail_bounded_below(pm.tail_class())
+        yield "sum_k vertical_b diverges", tail_converges(vb.tail_class()) is False
 
     return Family(
         name=name,
@@ -527,8 +581,10 @@ def star_chain(
             "vertical_b": vb,
             "pendant_m": pm,
             "hub_b": hb,
-            "hub_m": const(hub_m),
+            "hub_m": hm,
         },
+        crossing_degree=lambda: _pendant_degrees(cm, vb, pm),
+        replay=lambda: ("chain", "pendant", vb, hypotheses()),
     )
 
 
@@ -574,6 +630,12 @@ def double_ladder(
         roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("x", "y", "z"))
         return Truncation(g, 0, depth, roles, np.repeat(k, 3))
 
+    def hypotheses() -> Iterator[tuple[str, bool | None]]:
+        yield from _chain_hypotheses(xb, xm, "x rail")
+        yield "inf_k y_m > 0", tail_bounded_below(ym.tail_class())
+        yield "inf_k z_m > 0", tail_bounded_below(zm.tail_class())
+        yield "sum_k xy_b diverges", tail_converges(rxy.tail_class()) is False
+
     return Family(
         name=name,
         kind="ladder",
@@ -585,6 +647,18 @@ def double_ladder(
             "x_b": xb, "x_m": xm, "y_b": yb, "y_m": ym,
             "z_b": zb, "z_m": zm, "xy_b": rxy, "yz_b": ryz,
         },
+        crossing_degree=lambda: (
+            ("Deg_b(x_k) = xy_b/x_m", _ratio(rxy, xm)),
+            ("Deg_b(z_k) = yz_b/z_m", _ratio(ryz, zm)),
+            (
+                "Deg_b(y_k) = (xy_b+yz_b)/y_m",
+                tail_mul(
+                    tail_add(rxy.tail_class(), ryz.tail_class()),
+                    tail_reciprocal(ym.tail_class()),
+                ),
+            ),
+        ),
+        replay=lambda: ("x", "y", rxy, hypotheses()),
     )
 
 

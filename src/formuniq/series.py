@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, TextIO, Union
@@ -199,6 +200,14 @@ def _check_finite(fields) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _class(coeff: float, power: float, ratio: float) -> PowerGeomTail:
+    """A class built from nonzero classes.  Its coefficient is held above
+    zero: ``coeff == 0`` is the zero class, the one reading of a coefficient
+    that decides anything, so neither a product that underflows nor the
+    reciprocal of an overflowed (inf) coefficient may land there."""
+    return PowerGeomTail(max(coeff, sys.float_info.min), power, ratio)
+
+
 def tail_converges(t: TailModel | None) -> bool | None:
     """Does ``sum_r a(r)`` converge?  None when undecidable."""
     if t is None:
@@ -257,7 +266,7 @@ def tail_mul(a: PowerGeomTail | None, b: PowerGeomTail | None) -> PowerGeomTail 
         return None
     if a.is_zero or b.is_zero:
         return ZERO_TAIL
-    return PowerGeomTail(a.coeff * b.coeff, a.power + b.power, a.ratio * b.ratio)
+    return _class(a.coeff * b.coeff, a.power + b.power, a.ratio * b.ratio)
 
 
 def tail_reciprocal(a: PowerGeomTail | None) -> PowerGeomTail | None:
@@ -265,7 +274,7 @@ def tail_reciprocal(a: PowerGeomTail | None) -> PowerGeomTail | None:
         return None
     if a.is_zero:
         raise ValueError("cannot take the reciprocal of a zero tail")
-    return PowerGeomTail(1.0 / a.coeff, -a.power, 1.0 / a.ratio)
+    return _class(1.0 / a.coeff, -a.power, 1.0 / a.ratio)
 
 
 def tail_square(a: PowerGeomTail | None) -> PowerGeomTail | None:
@@ -277,14 +286,14 @@ def tail_sqrt(a: PowerGeomTail | None) -> PowerGeomTail | None:
         return None
     if a.is_zero:
         return ZERO_TAIL
-    return PowerGeomTail(math.sqrt(a.coeff), a.power / 2.0, math.sqrt(a.ratio))
+    return _class(math.sqrt(a.coeff), a.power / 2.0, math.sqrt(a.ratio))
 
 
 def tail_shift(a: PowerGeomTail | None, k: int) -> PowerGeomTail | None:
     """Class of ``r -> a(r + k)`` (same power and ratio)."""
     if a is None or a.is_zero:
         return a
-    return PowerGeomTail(a.coeff * a.ratio**k, a.power, a.ratio)
+    return _class(a.coeff * a.ratio**k, a.power, a.ratio)
 
 
 def tail_add(a: PowerGeomTail | None, b: PowerGeomTail | None) -> PowerGeomTail | None:
@@ -296,7 +305,7 @@ def tail_add(a: PowerGeomTail | None, b: PowerGeomTail | None) -> PowerGeomTail 
     if b.is_zero:
         return a
     if (a.ratio, a.power) == (b.ratio, b.power):
-        return PowerGeomTail(a.coeff + b.coeff, a.power, a.ratio)
+        return _class(a.coeff + b.coeff, a.power, a.ratio)
     if (a.ratio, a.power) > (b.ratio, b.power):
         return a
     return b
@@ -319,10 +328,10 @@ def tail_cumsum_class(
     if conv:
         return PowerGeomTail(total if total and math.isfinite(total) else 1.0)
     if a.ratio > 1:
-        return PowerGeomTail(a.coeff * a.ratio / (a.ratio - 1.0), a.power, a.ratio)
+        return _class(a.coeff * a.ratio / (a.ratio - 1.0), a.power, a.ratio)
     # ratio == 1, power >= -1
     if a.power > -1:
-        return PowerGeomTail(a.coeff / (a.power + 1.0), a.power + 1.0, 1.0)
+        return _class(a.coeff / (a.power + 1.0), a.power + 1.0, 1.0)
     return PowerGeomTail(a.coeff, 0.0, 1.0)
 
 
@@ -338,8 +347,8 @@ def tail_complement_class(a: PowerGeomTail | None) -> PowerGeomTail | None:
     if not tail_converges(a):
         raise ValueError("complement sums of a divergent sequence are infinite")
     if a.ratio < 1:
-        return PowerGeomTail(a.coeff * a.ratio / (1.0 - a.ratio), a.power, a.ratio)
-    return PowerGeomTail(a.coeff / (-a.power - 1.0), a.power + 1.0, 1.0)
+        return _class(a.coeff * a.ratio / (1.0 - a.ratio), a.power, a.ratio)
+    return _class(a.coeff / (-a.power - 1.0), a.power + 1.0, 1.0)
 
 
 def tail_sum_exact(a: PowerGeomTail, r_from: int = 0) -> float:

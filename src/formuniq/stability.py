@@ -9,7 +9,8 @@ components (ends) are symmetric chains, the question localizes further:
 uniqueness fails iff some end has finite total (c+m)-mass and summable
 resistance.  The instability analyzers replay, at desk scale, the three
 counterexamples showing that the boundedness hypothesis is not
-decorative.
+decorative.  What is particular to a family (the crossing-degree classes
+of its split, a replay's rails and hypotheses) is what it declares.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError, StructuralError
 from .capacity import CapacityEstimate, profile_boundary_capacity
-from .families import Family, SeqSpec, Truncation
+from .families import Family, Truncation
 from .graph import WeightedGraph, vertex_mask
 from .harmonic import truncated_dirichlet_solve
 from .series import (
@@ -31,13 +32,8 @@ from .series import (
     VerdictState,
     series_verdict,
     state_and,
-    tail_add,
     tail_bounded,
     tail_bounded_below,
-    tail_converges,
-    tail_mul,
-    tail_reciprocal,
-    tail_square,
 )
 
 EDGE_X1, EDGE_X2, EDGE_CROSS = 1, 2, 0
@@ -181,40 +177,12 @@ def boundary_degree_bounded(
     )
 
 
-def _crossing_degree_classes(family: Family) -> list[tuple[str, object]] | None:
-    """Closed-form Deg_b sequences for the canonical decomposition."""
-    p = family.params
-
-    def ratio(num, den) -> object:
-        return tail_mul(num.tail_class(), tail_reciprocal(den.tail_class()))
-
-    if family.kind == "bilateral":
-        # X1 = {origin} meets finitely many edges; nothing to bound
-        return []
-    if family.kind in ("pendant", "star"):
-        return [
-            ("Deg_b(chain k) = vertical_b/chain_m", ratio(p["vertical_b"], p["chain_m"])),
-            ("Deg_b(x_k) = vertical_b/pendant_m", ratio(p["vertical_b"], p["pendant_m"])),
-        ]
-    if family.kind == "ladder":
-        rung_sum = tail_add(p["xy_b"].tail_class(), p["yz_b"].tail_class())
-        return [
-            ("Deg_b(x_k) = xy_b/x_m", ratio(p["xy_b"], p["x_m"])),
-            ("Deg_b(z_k) = yz_b/z_m", ratio(p["yz_b"], p["z_m"])),
-            (
-                "Deg_b(y_k) = (xy_b+yz_b)/y_m",
-                tail_mul(rung_sum, tail_reciprocal(p["y_m"].tail_class())),
-            ),
-        ]
-    return None
-
-
 def _crossing_degree_decision(family: Family) -> tuple[bool | None, str]:
-    """Exact boundedness of Deg_b from the closed-form classes, with its
-    reason; None for a family kind without closed forms."""
-    classes = _crossing_degree_classes(family)
-    if classes is None:
+    """Exact boundedness of Deg_b from the closed-form classes the family
+    declares, with its reason; None for a family that declares none."""
+    if family.crossing_degree is None:
         return None, f"no closed-form crossing degree for family kind {family.kind!r}"
+    classes = family.crossing_degree()
     culprit = next((lbl for lbl, t in classes if not tail_bounded(t)), None)
     if culprit is not None:
         return False, f"closed form: {culprit} is unbounded"
@@ -250,9 +218,6 @@ def family_boundary_degree(family: Family) -> BoundaryDegreeReport:
 
 
 def _family_x1(trunc: Truncation, role: str) -> np.ndarray:
-    exact = trunc.role_vertices(role)
-    if len(exact):
-        return exact
     rail = trunc.rail(role)
     if not len(rail):
         raise StructuralError(f"no vertices with role {role!r}")
@@ -332,8 +297,6 @@ def _x1_form_unique(family: Family, x1_verdict: Verdict | None) -> tuple[bool | 
         if x1_verdict.state is VerdictState.FAILS:
             return False, "caller-certified verdict: X1 piece is not form unique"
         return None, "caller verdict inconclusive"
-    if family.kind == "bilateral":
-        return True, "X1 = {origin} is finite"
     if family.x1_profile is not None:
         m_tail = family.x1_profile.measure_tail
         if tail_bounded_below(m_tail):
@@ -342,6 +305,8 @@ def _x1_form_unique(family: Family, x1_verdict: Verdict | None) -> tuple[bool | 
             "no sufficient condition applies (X1 infinite, measure not "
             "bounded below); pass a certified verdict"
         )
+    if family.crossing_degree is not None and not family.crossing_degree():
+        return True, f"X1 = {{{family.x1_role}}} is finite"
     return None, "X1 structure unknown; pass a certified verdict"
 
 
@@ -449,84 +414,6 @@ class InstabilityReport:
     notes: tuple[str, ...] = ()
 
 
-def _require(cond: bool | None, description: str) -> str:
-    if cond is not True:
-        raise PreconditionError(f"hypothesis not satisfied: {description}")
-    return description
-
-
-def _chain_not_form_unique(b: SeqSpec, m: SeqSpec, what: str) -> list[str]:
-    return [
-        _require(
-            tail_converges(m.tail_class()), f"{what}: total measure finite"
-        ),
-        _require(
-            tail_converges(tail_reciprocal(b.tail_class())),
-            f"{what}: summable resistance",
-        ),
-    ]
-
-
-def _check_hypotheses(family: Family) -> list[str]:
-    p = family.params
-    if family.kind == "pendant":
-        checks = _chain_not_form_unique(p["chain_b"], p["chain_m"], "chain")
-        vb, pm = p["vertical_b"].tail_class(), p["pendant_m"].tail_class()
-        ratio = tail_mul(
-            tail_mul(vb, tail_square(pm)),
-            tail_reciprocal(tail_square(tail_add(vb, pm))),
-        )
-        checks.append(
-            _require(
-                tail_converges(ratio) is False,
-                "sum_k vertical_b * pendant_m^2 / (vertical_b + pendant_m)^2 diverges",
-            )
-        )
-        return checks
-    if family.kind == "star":
-        checks = _chain_not_form_unique(p["chain_b"], p["chain_m"], "chain")
-        checks.append(
-            _require(
-                tail_bounded_below(p["pendant_m"].tail_class()),
-                "inf_k pendant_m > 0",
-            )
-        )
-        checks.append(
-            _require(
-                tail_converges(p["vertical_b"].tail_class()) is False,
-                "sum_k vertical_b diverges",
-            )
-        )
-        return checks
-    if family.kind == "ladder":
-        checks = _chain_not_form_unique(p["x_b"], p["x_m"], "x rail")
-        checks.append(
-            _require(tail_bounded_below(p["y_m"].tail_class()), "inf_k y_m > 0")
-        )
-        checks.append(
-            _require(tail_bounded_below(p["z_m"].tail_class()), "inf_k z_m > 0")
-        )
-        checks.append(
-            _require(
-                tail_converges(p["xy_b"].tail_class()) is False,
-                "sum_k xy_b diverges",
-            )
-        )
-        return checks
-    raise PreconditionError(
-        f"no instability analysis for family kind {family.kind!r}"
-    )
-
-
-# per replayable kind: the anchor rail, the rail attached to it, and
-# the parameter weighting the edges between the two (the witness edges)
-_REPLAY_RAILS = {
-    "pendant": ("chain", "pendant", "vertical_b"),
-    "star": ("chain", "pendant", "vertical_b"),
-    "ladder": ("x", "y", "xy_b"),
-}
-
-
 def _solve_example(trunc: Truncation, alpha: float, rail: str) -> np.ndarray:
     """Positive solution of (L + alpha) u = 0 anchored at the start of
     ``rail``.
@@ -582,12 +469,17 @@ def analyze_instability_example(
     Raises a precondition error naming the first violated series
     hypothesis.
     """
-    hypotheses = _check_hypotheses(family)
+    if family.replay is None:
+        raise PreconditionError(f"no instability analysis for family kind {family.kind!r}")
+    rail0, attach, weight, checks = family.replay()
+    hypotheses = []
+    for wording, holds in checks:
+        if holds is not True:
+            raise PreconditionError(f"hypothesis not satisfied: {wording}")
+        hypotheses.append(wording)
     if sorted(depths) != list(depths) or len(depths) < 2:
         raise ValueError("depths must be increasing, at least two")
     floor_val = 1e-6 if floor is None else floor  # u(anchor) = 1 by anchoring
-    rail0, attach, weight_key = _REPLAY_RAILS[family.kind]
-    weight = family.params[weight_key]
 
     rows = []
     notes: list[str] = []

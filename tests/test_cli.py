@@ -148,6 +148,78 @@ def test_analyze_edge_grammar_gives_documented_exits(tails):
     assert all(isinstance(s, float) and math.isfinite(s) for s in all_partial_sums(payload))
 
 
+def one_radius_profile(boundary, sphere_m):
+    return "\n".join([
+        "[prefix]", "boundary = 1", "sphere_m = 1", "sphere_c = 0", "sphere_count = 1",
+        "[tail]", f"boundary = {boundary}", f"sphere_m = {sphere_m}", "sphere_c = C=0",
+        "sphere_count = C=1", "",
+    ])
+
+
+def run_on_text(argv, text):
+    """``main(argv)`` with ``text`` on stdin: exit code and stdout."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_analyze_tail_coefficients_past_the_float_range_decide_nothing():
+    # 1e-200 * (1e200)^-2 * 4^r underflowed to the zero class and read "converges"
+    text = one_radius_profile("C=1e200 p=0 rho=0.5", "C=1e-200 p=0 rho=2")
+    code, out = run_on_text(["analyze", "--profile", "-"], text)
+    assert code == OK
+    assert "stochastic incompleteness  fails" in out
+    assert "cross-checks: consistent" in out
+
+
+def tail_text(data, *, zero=False):
+    if zero:
+        return "C=0"
+    C = data.draw(st.floats(-300.0, 300.0).map(lambda x: 10.0**x))
+    p = data.draw(st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0, -2.0]), st.floats(-60.0, 60.0)))
+    rho = data.draw(
+        st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(-3.0, 3.0).map(lambda x: 10.0**x))
+    )
+    return f"C={C!r} p={p!r} rho={rho!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_whole_profile_grammar_gives_documented_exits(data):
+    """``analyze --json``, ``check`` and ``harmonic`` answer every valid
+    closed-form profile with exit 0 or 3: never 2, never a traceback."""
+    n = data.draw(st.integers(1, 6))
+    value = st.one_of(
+        st.floats(-3.0, 3.0).map(lambda x: 10.0**x), st.sampled_from([1e-300, 1e300])
+    )
+    killed = data.draw(st.booleans())
+    prefix = {
+        "boundary": data.draw(st.lists(value, min_size=n, max_size=n)),
+        "sphere_m": data.draw(st.lists(value, min_size=n, max_size=n)),
+        "sphere_c": data.draw(st.lists(value, min_size=n, max_size=n)) if killed else [0.0] * n,
+        "sphere_count": [1.0] * n,
+    }
+    tails = {
+        "boundary": tail_text(data),
+        "sphere_m": tail_text(data),
+        "sphere_c": tail_text(data, zero=not killed),
+        "sphere_count": "C=1",
+    }
+    text = "\n".join(
+        ["[prefix]", *(f"{k} = {' '.join(map(repr, v))}" for k, v in prefix.items()), "[tail]"]
+        + [f"{k} = {v}" for k, v in tails.items()]
+    )
+    depth = data.draw(st.integers(1, 400))
+    for argv in (
+        ["analyze", "--profile", "-", "--json"],
+        ["check", "--profile", "-"],
+        ["harmonic", "--profile", "-", "--depth", str(depth)],
+    ):
+        code, _ = run_on_text(argv, text)
+        assert code in (OK, INCONCLUSIVE), argv
+
+
 def test_analyze_divergent_killing_is_consistent():
     code, payload = analyze_json(
         chain_text(SeqSpec(1.0, 0.0, 1.5), SeqSpec(1.0, 0.0, 0.6), SeqSpec(1.0, 0.0, 1.8))
@@ -225,6 +297,27 @@ def test_harmonic_stops_at_float_overflow(capsys):
     for verdict in payload["membership"].values():
         assert all(isinstance(s, float) and math.isfinite(s) for s in verdict["partial_sums"])
         assert max(verdict["sample_depths"]) < len(rows)
+
+
+def test_harmonic_stops_before_an_underflowed_boundary_weight(capsys):
+    # dB(r) = 0.01^r underflows to 0.0 at r = 162: an input error before
+    text = one_radius_profile("C=1 p=0 rho=0.01", "C=1 p=0 rho=0.5")
+    code, out = run_on_text(["harmonic", "--profile", "-", "--depth", "200"], text)
+    assert code == INCONCLUSIVE
+    lines = out.splitlines()
+    rows = [line for line in lines[1:] if not line.startswith("#")]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(13))
+    assert lines[len(rows) + 1] == (
+        "# note: u leaves the float range at r=13; "
+        "layer boundary weight dB(162) underflows to 0.0; solved to depth 162"
+    )
+    code, out = run_on_text(["harmonic", "--profile", "-", "--depth", "200", "--json"], text)
+    assert code == INCONCLUSIVE
+    assert "dB(162) underflows to 0.0" in json.loads(out)["note"]
+    # up to radius 162 the weights all fit, and the solve runs as asked
+    code, out = run_on_text(["harmonic", "--profile", "-", "--depth", "162"], text)
+    assert code == INCONCLUSIVE
+    assert "# note: u leaves the float range at r=13\n" in out and "underflows" not in out
 
 
 @pytest.mark.parametrize(
@@ -433,6 +526,54 @@ def test_family_missing_required_params(capsys):
     code, _, err = run(capsys, "family", "--name", "birth_death", "--params", "b=unit")
     assert code == INPUT_ERROR
     assert "requires --params m" in err
+
+
+# each constructor's accepted --params keys and how many of them are required
+CONSTRUCTOR_PARAMS = {
+    "birth_death": (("b", "m", "c"), 2),
+    "wss_tree": (("k",), 1),
+    "anti_tree": (("s", "m_vertex"), 1),
+    "bilateral_chain": (("pos_b", "pos_m", "neg_b", "neg_m"), 4),
+    "pendant_chain": (("chain_b", "chain_m", "vertical_b", "pendant_m"), 4),
+    "star_chain": (("chain_b", "chain_m", "vertical_b", "pendant_m", "hub_b", "hub_m"), 5),
+    "double_ladder": (("x_b", "x_m", "y_b", "y_m", "z_b", "z_m", "xy_b", "yz_b"), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_PARAMS))
+def test_constructor_param_errors(capsys, name):
+    accepted, required = CONSTRUCTOR_PARAMS[name]
+    code, out, err = run(
+        capsys, "family", "--name", name, "--params", "zz=1", f"{accepted[0]}=1", "bogus=2"
+    )
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err == (
+        f"error: unknown parameter(s) ['bogus', 'zz'] for {name}; accepted: {', '.join(accepted)}\n"
+    )
+    code, _, err = run(capsys, "family", "--name", name, "--params")
+    required_keys = " ".join(accepted[:required])
+    assert (code, err) == (INPUT_ERROR, f"error: {name} requires --params {required_keys}\n")
+    code, _, err = run(capsys, "family", "--name", name, "--params", f"{accepted[-1]}=1")
+    missing = [key for key in accepted[:required] if key != accepted[-1]]
+    if missing:
+        expected = f"error: {name} requires --params {' '.join(missing)}\n"
+        assert (code, err) == (INPUT_ERROR, expected)
+
+
+STAR = ["chain_b=geom:2", "chain_m=geom:0.5", "vertical_b=1", "pendant_m=1", "hub_b=geom:0.5"]
+
+
+def test_star_chain_hub_measure_is_a_constant_sequence(capsys):
+    code, out, _ = run(
+        capsys, "family", "--name", "star_chain", "--params", *STAR, "hub_m=2", "--depth", "3"
+    )
+    assert code == OK
+    assert out.startswith("V 0 2.0 0.0\n")
+    code, out, err = run(
+        capsys, "family", "--name", "star_chain", "--params", *STAR, "hub_m=geom:0.5"
+    )
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err == "error: the hub measure hub_m must be a constant, got 1*(r+1)^0*0.5^r\n"
 
 
 # ---------------------------------------------------------------------------

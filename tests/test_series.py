@@ -174,6 +174,49 @@ def test_tail_algebra_still_carries_overflowed_coefficients():
     assert math.isinf(big.coeff)
 
 
+def test_tail_algebra_never_makes_a_zero_class_from_nonzero_ones():
+    tiny, huge = PowerGeomTail(1e-200, 0.0, 2.0), PowerGeomTail(1e200, 1.0, 0.5)
+    built = [
+        tail_mul(tiny, tiny),
+        tail_square(tiny),
+        tail_reciprocal(PowerGeomTail(math.inf, 0.0, 2.0)),
+        tail_reciprocal(tail_square(huge)),
+        tail_shift(PowerGeomTail(5e-324, 0.0, 0.5), 1),
+        tail_sqrt(PowerGeomTail(5e-324)),
+    ]
+    for t in built:
+        assert not t.is_zero and t.coeff > 0
+
+
+SHAPE = st.tuples(
+    st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0, -2.0]), st.floats(-60.0, 60.0)),
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(-3.0, 3.0).map(lambda x: 10.0**x)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(SHAPE, min_size=3, max_size=3),
+    st.lists(st.integers(-300, 300), min_size=3, max_size=3),
+    st.booleans(),
+)
+# a recurrent chain of infinite measure whose 4^r term class used to
+# underflow to the zero class and read "converges"
+@example([(0.0, 0.5), (0.0, 2.0), (0.0, 1.0)], [200, -200, 0], False)
+def test_tail_coefficients_never_decide_a_verdict(shapes, exponents, killed):
+    """Scaling the C of the boundary, measure and killing tails by 10^k
+    leaves every bundle state as it is with C = 1."""
+
+    def states(coeffs):
+        b, m, c = (PowerGeomTail(C, p, rho) for C, (p, rho) in zip(coeffs, shapes))
+        profile = chain_profile(
+            [1.0], [1.0], boundary_tail=b, measure_tail=m, killing_tail=c if killed else ZERO_TAIL
+        )
+        return {kind: v.state for kind, v in verdict_bundle(profile).items()}
+
+    assert states([10.0**k for k in exponents]) == states([1.0, 1.0, 1.0])
+
+
 # -- tri-state logic ---------------------------------------------------------
 
 H, F, I = VerdictState.HOLDS, VerdictState.FAILS, VerdictState.INCONCLUSIVE

@@ -186,12 +186,51 @@ def test_family_boundary_degree_closed_forms(name, bounded, detail, max_value, a
 
 
 def test_family_boundary_degree_without_closed_forms():
-    # a hand-built family of a kind without closed forms: maxima, no decision
-    fam = dataclasses.replace(gallery("bilateral_mixed"), kind="handmade")
+    # a hand-built family that declares no closed forms: maxima, no decision
+    fam = dataclasses.replace(
+        gallery("bilateral_mixed"), kind="handmade", crossing_degree=None
+    )
     rep = family_boundary_degree(fam)
     assert rep.bounded is None
     assert rep.detail == "no closed-form crossing degree for family kind 'handmade'"
     assert (rep.max_value, rep.argmax) == (2.0, 0)
+
+
+def replay_outcome(fam):
+    """The replay report, or the error it raises, with the kind named in
+    neither."""
+    try:
+        return dataclasses.replace(
+            analyze_instability_example(fam, depths=(12, 16)), kind="<kind>"
+        )
+    except ValueError as exc:
+        return type(exc), str(exc).replace(repr(fam.kind), "<kind>")
+
+
+COMPOSITE = [
+    "bilateral_mixed", "pendant_boundary", "pendant_instability",
+    "star_instability", "ladder_instability",
+]
+
+
+@pytest.mark.parametrize("name", COMPOSITE)
+def test_reports_never_read_the_family_kind(name):
+    # the split and replay data are declared by the constructor, so a family
+    # renamed to an unknown kind reports exactly as the original
+    fam = gallery(name)
+    handmade = dataclasses.replace(fam, kind="handmade")
+    assert family_boundary_degree(handmade) == family_boundary_degree(fam)
+    if fam.end_profiles:
+        assert symmetric_ends_verdict(handmade) == symmetric_ends_verdict(fam)
+    assert replay_outcome(handmade) == replay_outcome(fam)
+
+
+def test_declared_classes_are_evaluated_on_demand():
+    # a zero pendant measure has no reciprocal, but only the crossing
+    # degree needs one: the family constructs and the report raises
+    fam = pendant_chain(geometric(2.0), geometric(0.5), 1.0, 0.0)
+    with pytest.raises(ValueError, match="^cannot take the reciprocal of a zero tail$"):
+        family_boundary_degree(fam)
 
 
 def test_family_boundary_degree_needs_decomposition():
