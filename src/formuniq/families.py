@@ -125,15 +125,18 @@ def _check_depth(depth: int, top: float = np.inf) -> None:
         )
 
 
-def _edges(*parts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """``(u, v, w)`` edge rows taking the parts in turn: row k of every
-    part, then row k+1; the parts one row longer than the rest end with
-    their last rows, in turn.  Builders order the parts so that the rows
+def _edges(*parts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """The ``(u, v, w)`` columns (integer ids, float weights) of the edge
+    parts ``(u, v, w)`` taken in turn: edge k of every part, then edge
+    k+1; the parts one edge longer than the rest end with their last
+    edges, in turn.  Builders hand the columns to
+    ``WeightedGraph._from_columns`` and order the parts so that the edges
     come sorted by ``(u, v)``, which ``WeightedGraph`` then need not sort."""
-    rows = [np.column_stack(p) for p in parts]
-    n = min(map(len, rows))
-    body = np.stack([r[:n] for r in rows], axis=1).reshape(-1, 3)
-    return np.concatenate([body, *(r[n:] for r in rows)])
+    n = min(len(p[0]) for p in parts)
+    return [
+        np.concatenate([np.stack([c[:n] for c in cols], axis=1).ravel(), *(c[n:] for c in cols)])
+        for cols in zip(*parts)
+    ]
 
 
 def _sphere_roles(sizes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -286,8 +289,9 @@ def birth_death(
     def build(depth: int) -> Truncation:
         _check_depth(depth)
         r = np.arange(depth + 1)
-        edges = _edges((r[:-1], r[1:], b.values(r[:-1])))
-        g = WeightedGraph(depth + 1, edges, measure=m.values(r), killing=c.values(r))
+        g = WeightedGraph._from_columns(
+            depth + 1, r[:-1], r[1:], b.values(r[:-1]), measure=m.values(r), killing=c.values(r)
+        )
         roles = tuple(f"chain:{k}" for k in range(depth + 1))
         return Truncation(g, 0, depth, roles, r)
 
@@ -352,8 +356,9 @@ def wss_tree(
             # vertex ids run sphere by sphere, so the children of the parents
             # in id order are the vertices 1, 2, ..., n-1 in id order
             parent = np.repeat(np.arange(n - sizes[-1]), np.repeat(fanout, sizes[:-1]))
-            edges = np.column_stack((parent, np.arange(1, n), np.ones(n - 1)))
-            g = WeightedGraph(n, edges, measure=np.ones(n))
+            g = WeightedGraph._from_columns(
+                n, parent, np.arange(1, n), np.ones(n - 1), measure=np.ones(n)
+            )
             roles, layer = _sphere_roles(sizes)
         except MemoryError:
             raise StructuralError(f"{too_big}: not enough memory to build it") from None
@@ -400,15 +405,16 @@ def anti_tree(
         sizes = sv[: depth + 1].astype(np.int64)
         starts = np.concatenate([[0], np.cumsum(sizes)])
         n = int(starts[-1])
-        # every vertex of sphere r joins every vertex of sphere r+1
-        u = np.concatenate(
-            [np.repeat(np.arange(starts[r], starts[r + 1]), sizes[r + 1]) for r in range(depth)]
+        # every vertex x of sphere r < depth joins every vertex of sphere
+        # r+1, in id order: x's edges are one block of sizes[r+1] edges,
+        # whose k-th edge goes to vertex starts[r+1] + k
+        fanout = np.repeat(sizes[1:], sizes[:-1])
+        u = np.repeat(np.arange(len(fanout)), fanout)
+        block = np.cumsum(fanout) - fanout - np.repeat(starts[1:-1], sizes[:-1])
+        v = np.arange(len(u)) - np.repeat(block, fanout)
+        g = WeightedGraph._from_columns(
+            n, u, v, np.ones(len(u)), measure=np.repeat(mvv[: depth + 1], sizes)
         )
-        v = np.concatenate(
-            [np.tile(np.arange(starts[r + 1], starts[r + 2]), sizes[r]) for r in range(depth)]
-        )
-        edges = np.column_stack((u, v, np.ones(len(u))))
-        g = WeightedGraph(n, edges, measure=np.repeat(mvv[: depth + 1], sizes))
         roles, layer = _sphere_roles(sizes)
         return Truncation(g, 0, depth, roles, layer)
 
@@ -460,7 +466,7 @@ def bilateral_chain(
         measure = np.concatenate((pos_m[:1], sides))
         roles = ("origin",) + tuple(f"{s}:{i}" for i in range(1, depth + 1) for s in ("pos", "neg"))
         layer = np.concatenate(([0], np.repeat(r[1:], 2)))
-        g = WeightedGraph(len(measure), edges, measure=measure)
+        g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
         return Truncation(g, 0, depth, roles, layer)
 
     return Family(
@@ -499,7 +505,7 @@ def pendant_chain(
         chain = (2 * k[:-1], 2 * k[1:], _values(cb, k[:-1]))
         edges = _edges((2 * k, 2 * k + 1, _values(vb, k)), chain)  # in (u, v) order
         measure = np.column_stack((_values(cm, k), _values(pm, k))).ravel()
-        g = WeightedGraph(len(measure), edges, measure=measure)
+        g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
         roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
         return Truncation(g, 0, depth, roles, np.repeat(k, 2))
 
@@ -555,12 +561,11 @@ def star_chain(
         _check_depth(depth)
         k = np.arange(depth + 1)
         chain = (1 + 2 * k[:-1], 3 + 2 * k[:-1], _values(cb, k[:-1]))
-        edges = np.concatenate((  # in (u, v) order: the hub's edges first
-            _edges((np.zeros_like(k), 2 + 2 * k, _values(hb, k))),
-            _edges((1 + 2 * k, 2 + 2 * k, _values(vb, k)), chain),
-        ))
+        hub = (np.zeros_like(k), 2 + 2 * k, _values(hb, k))
+        rest = _edges((1 + 2 * k, 2 + 2 * k, _values(vb, k)), chain)
+        edges = [np.concatenate(c) for c in zip(hub, rest)]  # in (u, v) order: the hub's first
         measure = np.concatenate(([hm.coeff], np.column_stack((_values(cm, k), _values(pm, k))).ravel()))
-        g = WeightedGraph(len(measure), edges, measure=measure)
+        g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
         roles = ("hub",) + tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
         return Truncation(g, 1, depth, roles, np.concatenate(([0], np.repeat(k, 2))))
 
@@ -626,7 +631,7 @@ def double_ladder(
         # in (u, v) order: x_k's rung and rail, y_k's, then z_k's rail
         edges = _edges((ids, ids + 1, _values(rxy, k)), x, (ids + 1, ids + 2, _values(ryz, k)), y, z)
         measure = np.column_stack([_values(s, k) for s in (xm, ym, zm)]).ravel()
-        g = WeightedGraph(len(measure), edges, measure=measure)
+        g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
         roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("x", "y", "z"))
         return Truncation(g, 0, depth, roles, np.repeat(k, 3))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,32 +44,29 @@ def _vertex_text(t: float) -> str:
 
 
 def _canonical_edges(
-    n: int, edges: Iterable[tuple[int, int, float]] | np.ndarray
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    pair_text: Callable[[int], str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated edge arrays ``(u, v, w)`` with ``u < v``, sorted by
-    ``(u, v)``, one entry per vertex pair.
+    ``(u, v)``, one entry per vertex pair, from integer id columns ``u``,
+    ``v`` and a weight column ``w``; no output shares the input's memory.
 
-    Vertex ids are truncated toward zero, as ``int()`` does.  A pair
-    listed twice keeps its first weight; a later weight must agree with
-    it within :data:`SYMMETRY_TOL`.  The error names the first offending
-    edge in input order.
+    A pair listed twice keeps its first weight; a later weight must agree
+    with it within :data:`SYMMETRY_TOL`.  The error names the first
+    offending edge in input order, an unknown vertex's edge worded by
+    ``pair_text(i)`` when that is given.
     """
-    if not hasattr(edges, "__len__"):
-        edges = list(edges)
-    e = np.asarray(edges, dtype=float)
-    if e.size == 0:
-        e = e.reshape(0, 3)
-    if e.ndim != 2 or e.shape[1] != 3:
-        raise ValueError(f"edges must be (u, v, weight) triples, got shape {e.shape}")
-    x, y, w = e[:, 0], e[:, 1], e[:, 2]
-    # int(t) lies in [0, n) exactly when -1 < t < n (false for nan)
-    known = (np.minimum(x, y) > -1) & (np.maximum(x, y) < n)
-    xi, yi = np.where(known, e[:, :2].T, 0).astype(np.int64)
-    bad = ~known | (xi == yi) | ~(w > 0)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=float)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    known = (lo >= 0) & (hi < n)
+    bad = ~known | (lo == hi) | ~(w > 0)
     stop = int(np.argmax(bad)) if bad.any() else len(w)
 
-    lo = np.minimum(xi[:stop], yi[:stop])
-    hi = np.maximum(xi[:stop], yi[:stop])
+    lo, hi = lo[:stop], hi[:stop]
     key = lo * n + hi  # n*n fits int64 for any n held in memory
     if stop == len(w) and np.all(key[1:] > key[:-1]):
         return lo, hi, w.copy()  # sorted already; never alias the caller's array
@@ -94,13 +91,46 @@ def _canonical_edges(
                 f"conflicting weights for edge {pair}: {float(seen[i])} vs {float(again[i])}"
             )
     if stop < len(w):
-        pair = f"({_vertex_text(x[stop])},{_vertex_text(y[stop])})"
+        pair = f"({int(u[stop])},{int(v[stop])})"
         if not known[stop]:
+            pair = pair if pair_text is None else pair_text(stop)
             raise ValueError(f"edge {pair} references an unknown vertex")
-        if xi[stop] == yi[stop]:
-            raise ValueError(f"loop at vertex {int(xi[stop])} is not allowed")
+        if u[stop] == v[stop]:
+            raise ValueError(f"loop at vertex {int(u[stop])} is not allowed")
         raise ValueError(f"edge {pair} has non-positive weight {float(w[stop])}")
     return lo[first], hi[first], ws[first]
+
+
+def _triple_columns(
+    n: int, edges: Iterable[tuple[int, int, float]] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int], str]]:
+    """``(u, v, w)`` columns of ``(u, v, b)`` triples, and the wording of
+    an edge's ids.
+
+    Ids are truncated toward zero, as ``int()`` does; an edge with an id
+    ``int()`` would put outside ``[0, n)`` (nan and inf too) gets the id
+    -1 on both ends, and its error words the ids as given.
+    """
+    if not hasattr(edges, "__len__"):
+        edges = list(edges)
+    e = np.asarray(edges, dtype=float)
+    if e.size == 0:
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError(f"edges must be (u, v, weight) triples, got shape {e.shape}")
+    x, y = e[:, 0], e[:, 1]
+    # int(t) lies in [0, n) exactly when -1 < t < n (false for nan)
+    known = (np.minimum(x, y) > -1) & (np.maximum(x, y) < n)
+    u, v = np.where(known, e[:, :2].T, -1).astype(np.int64)
+    return u, v, e[:, 2], lambda i: f"({_vertex_text(x[i])},{_vertex_text(y[i])})"
+
+
+class _EdgeColumns(NamedTuple):
+    """Edges as integer id columns ``u``, ``v`` and a weight column ``w``."""
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
 
 class WeightedGraph:
@@ -108,12 +138,17 @@ class WeightedGraph:
 
     ``edges`` holds ``(u, v, b)`` triples in any form that
     ``np.asarray(edges, dtype=float)`` turns into shape ``(E, 3)``: a
-    list or an iterator of tuples, or an ``(E, 3)`` array built
-    directly (the family builders pass arrays).  Edges are canonicalised
-    to ``(min, max)`` vertex order at construction; supplying both
-    orientations is allowed as long as the two weights agree (within
-    :data:`SYMMETRY_TOL`).  Zero-weight edges are rejected rather than
-    silently dropped: absence of an edge is expressed by not listing it.
+    list or an iterator of tuples, or an ``(E, 3)`` array.  Float ids
+    are truncated toward zero, as ``int()`` does.  Code inside the
+    package (the family builders, the graph text reader,
+    :func:`induced_subgraph`, ``series.quotient_graph``) instead hands
+    over integer id columns and a weight column through
+    :meth:`_from_columns`, so ids never pass through floats; both routes
+    end in the same checks.  Edges are canonicalised to ``(min, max)``
+    vertex order at construction; supplying both orientations is allowed
+    as long as the two weights agree (within :data:`SYMMETRY_TOL`).
+    Zero-weight edges are rejected rather than silently dropped: absence
+    of an edge is expressed by not listing it.
     """
 
     def __init__(
@@ -140,10 +175,15 @@ class WeightedGraph:
             if not np.all(c >= 0):
                 raise ValueError("killing term must be nonnegative")
 
+        if isinstance(edges, _EdgeColumns):
+            (u, v, w), pair_text = edges, None
+        else:
+            u, v, w, pair_text = _triple_columns(n, edges)
+
         self.vertex_count = n
         self.measure = m
         self.killing = c
-        self.edge_u, self.edge_v, self.edge_w = _canonical_edges(n, edges)
+        self.edge_u, self.edge_v, self.edge_w = _canonical_edges(n, u, v, w, pair_text)
 
         # row x lists its neighbours by id: the edges (y, x), y < x, then
         # the edges (x, y), y > x, each in edge order, counted into place
@@ -162,6 +202,20 @@ class WeightedGraph:
 
         for arr in (self.measure, self.killing, self.edge_u, self.edge_v, self.edge_w):
             arr.flags.writeable = False
+
+    @classmethod
+    def _from_columns(
+        cls,
+        vertex_count: int,
+        u: np.ndarray,
+        v: np.ndarray,
+        w: np.ndarray,
+        measure: Sequence[float],
+        killing: Sequence[float] | None = None,
+    ) -> WeightedGraph:
+        """The graph of the edges ``(u[i], v[i], w[i])``: integer id
+        columns and a weight column, checked as triples are."""
+        return cls(vertex_count, _EdgeColumns(u, v, w), measure, killing)
 
     @property
     def edge_count(self) -> int:
@@ -306,10 +360,10 @@ def induced_subgraph(
     new_id = -np.ones(g.vertex_count, dtype=np.int64)
     new_id[keep] = np.arange(len(keep))
     mask = (new_id[g.edge_u] >= 0) & (new_id[g.edge_v] >= 0)
-    edges = np.column_stack(
-        (new_id[g.edge_u[mask]], new_id[g.edge_v[mask]], g.edge_w[mask])
+    sub = WeightedGraph._from_columns(
+        len(keep), new_id[g.edge_u[mask]], new_id[g.edge_v[mask]], g.edge_w[mask],
+        g.measure[keep], g.killing[keep],
     )
-    sub = WeightedGraph(len(keep), edges, g.measure[keep], g.killing[keep])
     return sub, keep
 
 
@@ -401,8 +455,9 @@ def _parse_columns(text: str) -> WeightedGraph | None:
             v = _read_rows(text[:split], _V_ROW)
             if np.array_equal(v["id"], np.arange(n)):
                 e = _read_rows(text[split:], _E_ROW) if split < len(text) else np.empty(0, _E_ROW)
-                edges = np.column_stack((e["u"], e["v"], e["w"]))
-                return WeightedGraph(n, edges, v["m"].copy(), v["c"].copy())
+                return WeightedGraph._from_columns(
+                    n, e["u"], e["v"], e["w"], v["m"].copy(), v["c"].copy()
+                )
     except Exception:  # noqa: BLE001 - the loop words every error
         pass
     return None

@@ -1026,9 +1026,9 @@ def quotient_graph(p: RadialProfile, depth: int) -> WeightedGraph:
     if depth < 1:
         raise ValueError("depth must be at least 1")
     r = np.arange(depth)
-    edges = np.column_stack((r, r + 1, p.values("boundary", depth)))
-    return WeightedGraph(
-        depth + 1, edges, p.values("measure", depth + 1), p.values("killing", depth + 1)
+    return WeightedGraph._from_columns(
+        depth + 1, r, r + 1, p.values("boundary", depth),
+        p.values("measure", depth + 1), p.values("killing", depth + 1),
     )
 
 

@@ -254,16 +254,27 @@ def is_weakly_spherically_symmetric(
     """
     dec = root if isinstance(root, SphereDecomposition) else sphere_decomposition(g, root)
     top = dec.radius if max_radius is None else min(dec.radius, max_radius)
-    for r in range(top + 1):
-        s = dec.spheres[r]
-        for values, name in (
-            (dec.kappa_plus, "kappa_plus"),
-            (dec.kappa_minus, "kappa_minus"),
-            (dec.q, "q"),
-        ):
-            w = _sphere_constant(values, s, r, name)
-            if w is not None:
-                return SymmetryReport(False, w)
+    spheres = dec.spheres[: max(top + 1, 0)]
+    if not spheres:
+        return SymmetryReport(True, None)
+    fields = (dec.kappa_plus, "kappa_plus"), (dec.kappa_minus, "kappa_minus"), (dec.q, "q")
+    # each sphere's least and largest value of each field, in one pass
+    # per field, under the test _sphere_constant makes
+    ids = np.concatenate(spheres)
+    starts = np.cumsum([0] + [len(s) for s in spheres[:-1]])
+    flagged = np.empty((len(spheres), len(fields)), dtype=bool)
+    for j, (values, _) in enumerate(fields):
+        vals = values[ids]
+        a, b = np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts)
+        with np.errstate(invalid="ignore"):  # inf vs inf differs, as for floats
+            flagged[:, j] = ~(
+                np.abs(a - b) <= SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            )
+    # the witness: the first flagged sphere and field, by radius, then field
+    for r, j in zip(*np.nonzero(flagged)):
+        w = _sphere_constant(fields[j][0], spheres[r], int(r), fields[j][1])
+        if w is not None:
+            return SymmetryReport(False, w)
     return SymmetryReport(True, None)
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from formuniq import PreconditionError, StructuralError, families, gallery, gallery_names
+from formuniq import PreconditionError, StructuralError, gallery, gallery_names
 from formuniq.families import (
     SeqSpec,
     anti_tree,
@@ -28,6 +28,7 @@ from formuniq.families import (
     star_chain,
     wss_tree,
 )
+from formuniq.graph import WeightedGraph
 from formuniq.series import parse_seq, quotient_graph
 from formuniq.symmetry import sphere_decomposition
 from scalar_reference import seq_at
@@ -230,16 +231,16 @@ def test_deep_tree_truncation_is_refused_by_its_vertex_count(depth):
 def test_builders_pass_edges_sorted_by_vertex_pair(name):
     # so that WeightedGraph keeps them without a sort
     seen = []
-    real = families.WeightedGraph
+    real = WeightedGraph._from_columns
 
-    def spy(n, edges, **kw):
-        seen.append((n, edges))
-        return real(n, edges, **kw)
+    def spy(n, u, v, w, **kw):
+        seen.append((n, u, v))
+        return real(n, u, v, w, **kw)
 
-    with mock.patch.object(families, "WeightedGraph", spy):
+    with mock.patch.object(WeightedGraph, "_from_columns", spy):
         gallery(name).build(6)
-    (n, edges), = seen
-    u, v = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    (n, u, v), = seen
+    assert u.dtype.kind == v.dtype.kind == "i"
     assert np.all(u < v)
     assert np.all(np.diff(u * n + v) > 0)
 

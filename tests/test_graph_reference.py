@@ -8,6 +8,8 @@ of the tree and anti-tree builders.  The array versions must give the
 same arrays bit for bit, and the same error messages.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,15 +17,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formuniq.errors import StructuralError
-from formuniq.families import anti_tree, geometric, linear, pendant_chain, SeqSpec, wss_tree
+from formuniq.families import (
+    anti_tree,
+    birth_death,
+    gallery,
+    gallery_names,
+    geometric,
+    linear,
+    pendant_chain,
+    SeqSpec,
+    wss_tree,
+)
 from formuniq.graph import (
     SYMMETRY_TOL,
     WeightedGraph,
     component_labels,
     induced_subgraph,
 )
+from formuniq.series import PowerGeomTail, quotient_graph
 from formuniq.stability import EDGE_CROSS, decompose
-from formuniq.symmetry import sphere_decomposition
+from formuniq.symmetry import (
+    SymmetryReport,
+    SymmetryWitness,
+    is_weakly_spherically_symmetric,
+    sphere_decomposition,
+)
 from scalar_reference import profile_at, seq_at
 
 # ---------------------------------------------------------------------------
@@ -121,6 +139,24 @@ def reference_spheres(g, roots):
         "sphere_measure": np.array([g.measure[s].sum() for s in spheres]),
         "sphere_killing": np.array([g.killing[s].sum() for s in spheres]),
     }
+
+
+def reference_symmetry(dec, max_radius=None):
+    """The sphere by sphere scan: the first sphere, then the first of
+    kappa_plus, kappa_minus and q, whose least and largest values differ."""
+    top = dec.radius if max_radius is None else min(dec.radius, max_radius)
+    for r in range(top + 1):
+        s = dec.spheres[r]
+        for values, name in (
+            (dec.kappa_plus, "kappa_plus"), (dec.kappa_minus, "kappa_minus"), (dec.q, "q")
+        ):
+            vals = values[s]
+            lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
+            a, b = vals[lo], vals[hi]
+            if not abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
+                witness = SymmetryWitness(r, int(s[lo]), int(s[hi]), name, float(a), float(b))
+                return SymmetryReport(False, witness)
+    return SymmetryReport(True, None)
 
 
 def reference_ends(g, x1):
@@ -316,6 +352,81 @@ def test_malformed_edge_shapes_are_value_errors():
     assert g.edge_count == 0 and g.edge_u.dtype == np.int64
 
 
+@st.composite
+def edge_columns(draw):
+    """Integer id columns and a weight column over n vertices: a simple
+    graph in canonical, shuffled or reversed order, rows in either
+    orientation, repeats whose weights agree or clash, and defects (ids
+    out of range or negative, loops, zero, negative, nan or inf weights)
+    put anywhere, or no edges at all."""
+    n = draw(st.integers(1, 30))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = sorted({(min(e), max(e)) for e in draw(st.lists(pairs, max_size=40))})
+    ws = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    rows = [[x, y, b] for (x, y), b in zip(pairs, ws)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    again = st.tuples(st.integers(0, 10**6), st.sampled_from(["same", "agree", "clash"]))
+    for i, kind in draw(st.lists(again, max_size=4)):
+        if rows:
+            x, y, b = rows[i % len(rows)]
+            b = {"same": b, "agree": b * (1 + 1e-12), "clash": b * 2.0}[kind]
+            rows.append([y, x, b] if rng.random() < 0.5 else [x, y, b])
+    order = draw(st.sampled_from(["canonical", "shuffled", "reversed"]))
+    if order == "shuffled":
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+    elif order == "reversed":
+        rows = rows[::-1]
+    for row in rows:
+        if rng.random() < 0.3:
+            row[:2] = row[1::-1]
+    defects = st.sampled_from(["high", "negative", "loop", "zero", "below", "nan", "inf"])
+    for i, kind in draw(st.lists(st.tuples(st.integers(0, 10**6), defects), max_size=2)):
+        x, y = int(rng.integers(0, n)), int(rng.integers(0, n))
+        row = {
+            "high": [x, n + int(rng.integers(0, 3)), 1.0],
+            "negative": [-1 - int(rng.integers(0, 3)), y, 1.0],
+            "loop": [x, x, 1.0],
+            "zero": [x, y, 0.0],
+            "below": [x, y, -1.0],
+            "nan": [x, y, float("nan")],
+            "inf": [x, y, float("inf")],
+        }[kind]
+        rows.insert(i % (len(rows) + 1), row)
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    u = np.array([r[0] for r in rows], dtype=dtype)
+    v = np.array([r[1] for r in rows], dtype=dtype)
+    w = np.array([r[2] for r in rows], dtype=float)
+    return n, u, v, w
+
+
+def _outcome(make):
+    try:
+        return make(), None
+    except Exception as exc:  # noqa: BLE001 - compared below
+        return None, exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_columns())
+def test_columns_and_triples_give_the_same_graph(case):
+    n, u, v, w = case
+    triples = list(zip(u.tolist(), v.tolist(), w.tolist()))
+    want, want_exc = _outcome(lambda: WeightedGraph(n, triples, np.ones(n)))
+    got, got_exc = _outcome(lambda: WeightedGraph._from_columns(n, u, v, w, np.ones(n)))
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        return
+    assert got_exc is None
+    for a in ("edge_u", "edge_v", "edge_w"):
+        x, y = getattr(got, a), getattr(want, a)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), a
+        assert not any(np.shares_memory(x, col) for col in (u, v, w)), a
+    for a in ("data", "indices", "indptr"):
+        x, y = getattr(got.adjacency, a), getattr(want.adjacency, a)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), a
+
+
 # ---------------------------------------------------------------------------
 # sphere decompositions
 # ---------------------------------------------------------------------------
@@ -402,6 +513,69 @@ def test_unreachable_vertices_are_listed_as_before(n, data):
 
 
 # ---------------------------------------------------------------------------
+# symmetry checks
+# ---------------------------------------------------------------------------
+
+RADII = (None, -2, -1, 0, 1, 3, 250, 255, 10**6)
+
+
+def assert_same_reports(g, dec):
+    # by repr, which tells every float apart and matches nan with nan
+    for top in RADII:
+        got = is_weakly_spherically_symmetric(g, dec, max_radius=top)
+        assert repr(got) == repr(reference_symmetry(dec, top)), top
+
+
+@pytest.mark.parametrize("name", gallery_names())
+@pytest.mark.parametrize("depth", [1, 2, 6])
+def test_symmetry_check_matches_the_sphere_scan_on_the_gallery(name, depth):
+    trunc = gallery(name).build(depth)
+    assert_same_reports(trunc.graph, sphere_decomposition(trunc.graph, [trunc.root]))
+
+
+@pytest.mark.parametrize(
+    "fam,depth",
+    [(anti_tree(linear()), 12), (wss_tree(2), 7), (anti_tree(geometric(2.0), geometric(0.125)), 6)],
+)
+def test_symmetry_check_matches_the_sphere_scan_on_perturbed_graphs(fam, depth):
+    # one measure, or one weight into a vertex from the sphere inside, scaled
+    g = fam.build(depth).graph
+    rng = np.random.default_rng(depth)
+    for _ in range(40):
+        x = int(rng.integers(1, g.vertex_count))
+        factor = float(rng.choice([rng.uniform(0.3, 0.7), rng.uniform(1.5, 3.0)]))
+        measure, weights = g.measure.copy(), g.edge_w.copy()
+        if rng.random() < 0.5:
+            measure[x] *= factor
+        else:
+            weights[np.flatnonzero(g.edge_v == x)[0]] *= factor
+        h = WeightedGraph._from_columns(g.vertex_count, g.edge_u, g.edge_v, weights, measure)
+        assert_same_reports(h, sphere_decomposition(h, [0]))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("depth", [240, 260, 300])
+def test_symmetry_check_matches_the_sphere_scan_on_inf_and_nan_ratios(depth):
+    # kappa_plus = dB(r) / m(S_r) = (2 / 0.12)^r is inf from r = 253 on,
+    # and inf against inf is a difference, as for floats
+    p = birth_death(PowerGeomTail(1, 0, 2), PowerGeomTail(1, 0, 0.12)).profile
+    g = quotient_graph(p, depth)
+    dec = sphere_decomposition(g, [0])
+    assert_same_reports(g, dec)
+    for field, at in (("kappa_plus", 7), ("kappa_minus", 1), ("q", 0)):
+        values = getattr(dec, field).copy()
+        values[at] = np.nan
+        assert_same_reports(g, dataclasses.replace(dec, **{field: values}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_symmetry_check_matches_the_sphere_scan_on_random_graphs(case):
+    g, roots = case
+    assert_same_reports(g, sphere_decomposition(g, roots))
+
+
+# ---------------------------------------------------------------------------
 # decompositions and builders
 # ---------------------------------------------------------------------------
 
@@ -450,7 +624,15 @@ def test_tree_builder_matches_the_nested_loops(fam, depth):
 
 
 @pytest.mark.parametrize(
-    "fam,depth", [(anti_tree(linear()), 7), (anti_tree(geometric(2.0), geometric(0.125)), 5)]
+    "fam,depth",
+    [
+        (anti_tree(linear()), 1),
+        (anti_tree(linear()), 2),
+        (anti_tree(linear()), 7),
+        (anti_tree(linear()), 40),
+        (anti_tree(geometric(2.0), geometric(0.125)), 5),
+        (gallery("quadratic_anti_tree"), 8),
+    ],
 )
 def test_anti_tree_builder_matches_the_nested_loops(fam, depth):
     trunc = fam.build(depth)
