@@ -211,7 +211,9 @@ def equilibrium_potential(
         if len(redo):
             rhs[redo] = np.asarray(w_f[redo][:, in_k].sum(axis=1)).ravel()
         if len(free) <= DIRECT_SOLVE_LIMIT:
-            sol = spsolve(a_ff.tocsc(), rhs)
+            # a_ff is a principal submatrix of the symmetric diag - W: its
+            # CSR arrays are its CSC arrays
+            sol = spsolve(sp.csc_matrix((a_ff.data, a_ff.indices, a_ff.indptr), a_ff.shape), rhs)
         else:
             sol, info = cg(a_ff, rhs, rtol=1e-10, maxiter=10 * len(free))
             if info != 0:

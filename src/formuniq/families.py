@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from collections.abc import Callable, Iterator, Mapping
-from itertools import chain
+from collections.abc import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -139,10 +138,9 @@ def _edges(*parts: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[np.ndarray
     ]
 
 
-def _sphere_roles(sizes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Roles ``"sphere:r"`` and layers for vertex ids numbered sphere by sphere."""
-    roles = tuple(chain.from_iterable([f"sphere:{r}"] * int(s) for r, s in enumerate(sizes)))
-    return roles, np.repeat(np.arange(len(sizes)), sizes)
+def _spheres(sizes: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The rail ``"sphere"`` and the layers of vertex ids numbered sphere by sphere."""
+    return {"sphere": np.arange(int(sizes.sum()))}, np.repeat(np.arange(len(sizes)), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -152,55 +150,100 @@ def _sphere_roles(sizes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
 
 @dataclass(frozen=True)
 class Truncation:
-    """A finite ball of a family, with per-vertex role labels.
+    """A finite ball of a family, with its vertices' roles.
 
-    Roles look like ``"chain:3"``, ``"pendant:3"``, ``"sphere:2"``,
-    ``"hub"``; ``layer[v]`` is the layer index the vertex belongs to.
-    Role lookups read one index of ``roles``, built on first use.
+    ``layer[v]`` is the layer index vertex ``v`` belongs to.  ``rails``
+    maps each role prefix to its vertices, by layer, then by id
+    (read-only int64 arrays); every vertex lies on one rail.  The
+    vertex of rail ``p`` in layer ``k`` has the role ``"p:k"``, such as
+    ``"chain:3"`` or ``"sphere:2"``, except on the rails named in
+    ``bare``, whose vertices have the role ``"p"``, such as ``"hub"``.
+    Role lookups slice the rails; ``roles``, the per-vertex strings, is
+    built when it is read.  A sequence of per-vertex role strings
+    passed as ``rails`` is turned into rails once.
     """
 
     graph: WeightedGraph
     root: int
     depth: int
-    roles: tuple[str, ...]
+    rails: Mapping[str, np.ndarray]
     layer: np.ndarray
+    bare: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if isinstance(self.rails, Mapping):
+            rails, bare = self.rails, self.bare
+        else:
+            rails, bare = _rails_of_roles(self.rails, self.layer)
+        frozen = {}
+        for prefix, ids in rails.items():
+            frozen[prefix] = np.asarray(ids, dtype=np.int64).view()
+            frozen[prefix].flags.writeable = False
+        object.__setattr__(self, "rails", frozen)
+        object.__setattr__(self, "bare", frozenset(bare))
 
     @cached_property
-    def _role_ids(self) -> dict[str, list[int]]:
-        """The ids of each role's vertices, ascending, built on first use."""
-        ids: dict[str, list[int]] = {}
-        for v, r in enumerate(self.roles):
-            ids.setdefault(r, []).append(v)
-        return ids
-
-    @cached_property
-    def _rails(self) -> dict[str, np.ndarray]:
-        """Each role prefix's vertices by layer, then by id (read-only)."""
-        parts: dict[str, list[int]] = {}
-        for r, v in self._role_ids.items():
-            parts.setdefault(r.partition(":")[0], []).extend(v)
-        rails = {}
-        for prefix, v in parts.items():
-            ids = np.sort(np.array(v, dtype=np.int64))
-            rails[prefix] = ids[np.argsort(self.layer[ids], kind="stable")]
-            rails[prefix].flags.writeable = False
-        return rails
+    def roles(self) -> tuple[str, ...]:
+        """Each vertex's role, by id."""
+        roles = np.empty(len(self.layer), dtype=object)
+        for prefix, ids in self.rails.items():
+            if prefix in self.bare:
+                roles[ids] = prefix
+            else:
+                roles[ids] = [f"{prefix}:{k}" for k in self.layer[ids].tolist()]
+        return tuple(roles.tolist())
 
     def role_vertices(self, role: str) -> np.ndarray:
         """The vertices whose role is ``role``, ascending (maybe none)."""
-        return np.array(self._role_ids.get(role, ()), dtype=np.int64)
+        none = np.empty(0, dtype=np.int64)
+        prefix, colon, k = role.partition(":")
+        ids = self.rails.get(prefix)
+        if ids is None or bool(colon) == (prefix in self.bare):
+            return none
+        if not colon:
+            return np.sort(ids)
+        try:
+            at = int(k)
+        except ValueError:
+            return none
+        if str(at) != k:
+            return none
+        layers = self.layer[ids]
+        return ids[np.searchsorted(layers, at) : np.searchsorted(layers, at, "right")]
 
     def find_role(self, role: str) -> int:
-        hits = self._role_ids.get(role, ())
+        hits = self.role_vertices(role)
         if len(hits) != 1:
             raise KeyError(f"role {role!r} matches {len(hits)} vertices")
-        return hits[0]
+        return int(hits[0])
 
     def rail(self, prefix: str) -> np.ndarray:
         """Vertices whose role starts with ``prefix + ':'`` (or is
         ``prefix``), by layer, then by id (a read-only array)."""
-        rail = self._rails.get(prefix)
+        rail = self.rails.get(prefix)
         return np.empty(0, dtype=np.int64) if rail is None else rail
+
+
+def _rails_of_roles(
+    roles: Sequence[str], layer: np.ndarray
+) -> tuple[dict[str, np.ndarray], set[str]]:
+    """The rails and bare prefixes of per-vertex role strings, each
+    ``"prefix"`` or ``"prefix:layer"``."""
+    parts: dict[str, list[int]] = {}
+    suffixed, bare = set(), set()
+    for v, role in enumerate(roles):
+        prefix, colon, k = role.partition(":")
+        if colon and k != str(int(layer[v])):
+            raise ValueError(f"role {role!r} of vertex {v} does not name its layer {layer[v]}")
+        (suffixed if colon else bare).add(prefix)
+        parts.setdefault(prefix, []).append(v)
+    if suffixed & bare:
+        raise ValueError(f"roles {sorted(suffixed & bare)} are used both bare and with layers")
+    rails = {}
+    for prefix, ids in parts.items():
+        ids = np.array(ids, dtype=np.int64)
+        rails[prefix] = ids[np.argsort(layer[ids], kind="stable")]
+    return rails, bare
 
 
 @dataclass
@@ -292,8 +335,7 @@ def birth_death(
         g = WeightedGraph._from_columns(
             depth + 1, r[:-1], r[1:], b.values(r[:-1]), measure=m.values(r), killing=c.values(r)
         )
-        roles = tuple(f"chain:{k}" for k in range(depth + 1))
-        return Truncation(g, 0, depth, roles, r)
+        return Truncation(g, 0, depth, {"chain": r}, r)
 
     return Family(
         name=name,
@@ -359,10 +401,10 @@ def wss_tree(
             g = WeightedGraph._from_columns(
                 n, parent, np.arange(1, n), np.ones(n - 1), measure=np.ones(n)
             )
-            roles, layer = _sphere_roles(sizes)
+            rails, layer = _spheres(sizes)
         except MemoryError:
             raise StructuralError(f"{too_big}: not enough memory to build it") from None
-        return Truncation(g, 0, depth, roles, layer)
+        return Truncation(g, 0, depth, rails, layer)
 
     return Family(
         name=name, kind="tree", build=build, profile=profile, params={"k": k}
@@ -415,8 +457,7 @@ def anti_tree(
         g = WeightedGraph._from_columns(
             n, u, v, np.ones(len(u)), measure=np.repeat(mvv[: depth + 1], sizes)
         )
-        roles, layer = _sphere_roles(sizes)
-        return Truncation(g, 0, depth, roles, layer)
+        return Truncation(g, 0, depth, *_spheres(sizes))
 
     return Family(
         name=name,
@@ -464,10 +505,10 @@ def bilateral_chain(
         pos_m = _values(pm, r)
         sides = np.column_stack((pos_m[1:], _values(nm, r[1:]))).ravel()
         measure = np.concatenate((pos_m[:1], sides))
-        roles = ("origin",) + tuple(f"{s}:{i}" for i in range(1, depth + 1) for s in ("pos", "neg"))
         layer = np.concatenate(([0], np.repeat(r[1:], 2)))
         g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
-        return Truncation(g, 0, depth, roles, layer)
+        rails = {"origin": [0], "pos": 2 * r[1:] - 1, "neg": 2 * r[1:]}
+        return Truncation(g, 0, depth, rails, layer, bare=frozenset({"origin"}))
 
     return Family(
         name=name,
@@ -506,8 +547,8 @@ def pendant_chain(
         edges = _edges((2 * k, 2 * k + 1, _values(vb, k)), chain)  # in (u, v) order
         measure = np.column_stack((_values(cm, k), _values(pm, k))).ravel()
         g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
-        roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
-        return Truncation(g, 0, depth, roles, np.repeat(k, 2))
+        rails = {"chain": 2 * k, "pendant": 2 * k + 1}
+        return Truncation(g, 0, depth, rails, np.repeat(k, 2))
 
     def hypotheses() -> Iterator[tuple[str, bool | None]]:
         yield from _chain_hypotheses(cb, cm, "chain")
@@ -566,8 +607,9 @@ def star_chain(
         edges = [np.concatenate(c) for c in zip(hub, rest)]  # in (u, v) order: the hub's first
         measure = np.concatenate(([hm.coeff], np.column_stack((_values(cm, k), _values(pm, k))).ravel()))
         g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
-        roles = ("hub",) + tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("chain", "pendant"))
-        return Truncation(g, 1, depth, roles, np.concatenate(([0], np.repeat(k, 2))))
+        rails = {"hub": [0], "chain": 1 + 2 * k, "pendant": 2 + 2 * k}
+        layer = np.concatenate(([0], np.repeat(k, 2)))
+        return Truncation(g, 1, depth, rails, layer, bare=frozenset({"hub"}))
 
     def hypotheses() -> Iterator[tuple[str, bool | None]]:
         yield from _chain_hypotheses(cb, cm, "chain")
@@ -632,8 +674,8 @@ def double_ladder(
         edges = _edges((ids, ids + 1, _values(rxy, k)), x, (ids + 1, ids + 2, _values(ryz, k)), y, z)
         measure = np.column_stack([_values(s, k) for s in (xm, ym, zm)]).ravel()
         g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
-        roles = tuple(f"{s}:{i}" for i in range(depth + 1) for s in ("x", "y", "z"))
-        return Truncation(g, 0, depth, roles, np.repeat(k, 3))
+        rails = {"x": ids, "y": ids + 1, "z": ids + 2}
+        return Truncation(g, 0, depth, rails, np.repeat(k, 3))
 
     def hypotheses() -> Iterator[tuple[str, bool | None]]:
         yield from _chain_hypotheses(xb, xm, "x rail")

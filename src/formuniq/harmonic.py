@@ -78,13 +78,20 @@ class HarmonicSolution:
 
 
 def solve_symmetric_harmonic(
-    p: RadialProfile, alpha: float, u0: float, depth: int
+    p: RadialProfile,
+    alpha: float,
+    u0: float,
+    depth: int,
+    *,
+    boundary: np.ndarray | None = None,
 ) -> HarmonicSolution:
     """Run the forward recurrence to the given depth.
 
     Requires finite ``alpha > 0`` and ``u0 > 0``; the solution is then
     strictly increasing.  Depth may not exceed the range over which the
     profile has explicit values (custom tails stop at the prefix).
+    ``boundary``, when given, is ``p.values("boundary", depth)`` as the
+    caller already read it.
     """
     _require_finite("alpha", alpha)
     _require_finite("u0", u0)
@@ -101,7 +108,7 @@ def solve_symmetric_harmonic(
             f"profile values end at radius {int(avail) - 1}; cannot solve to depth {depth}"
         )
 
-    b = p.values("boundary", depth)
+    b = p.values("boundary", depth) if boundary is None else boundary
     bad = np.flatnonzero(~(b > 0))
     if len(bad):
         r = int(bad[0])
@@ -151,31 +158,45 @@ def _require_finite(name: str, x: float) -> None:
 
 def _dirichlet_system(
     g: WeightedGraph, alpha: float, root: int, value: float, interior: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[sp.csc_matrix, np.ndarray]:
     """The rows of ``diag(d) - W`` at the ``interior`` vertices (sorted
     ids, one per unknown), without the anchor's column, which moves to
-    the right-hand side times ``value``.  ``d`` adds the adjacency row
-    sums (each summed as ``np.sum`` sums the row), the killing term and
-    ``alpha`` times the measure."""
+    the right-hand side times ``value``; as the CSC matrix the solver
+    reads.  ``d`` adds the adjacency row sums (each summed as ``np.sum``
+    sums the row), the killing term and ``alpha`` times the measure.
+
+    ``W`` is stored symmetrically, so column ``y`` of the system is row
+    ``y`` of ``diag(d) - W`` restricted to the interior rows: the
+    adjacency row with ``d[y]`` put in its place among the ids."""
     n = g.vertex_count
     w = g.adjacency
-    d = _ordered_sums(np.repeat(np.arange(n), np.diff(w.indptr)), w.data, n)
+    ptr, nbr = w.indptr, w.indices
+    own = np.repeat(np.arange(n), np.diff(ptr))
+    d = _ordered_sums(own, w.data, n)
     d = d + g.killing + alpha * g.measure
-    sub = w[interior]
-    row = np.repeat(np.arange(len(interior)), np.diff(sub.indptr))
-    at_root = sub.indices == root
-    rhs = np.zeros(len(interior))
-    rhs[interior == root] -= d[root] * value
-    rhs[row[at_root]] += sub.data[at_root] * value
-    own = np.flatnonzero(interior != root)
-    cols = np.concatenate((sub.indices[~at_root], interior[own]))
-    mat = sp.csr_matrix(
-        (
-            np.concatenate((-sub.data[~at_root], d[interior[own]])),
-            (np.concatenate((row[~at_root], own)), cols - (cols > root)),
-        ),
+    # the adjacency entries and the diagonal, merged row by row in id order
+    diag_at = ptr[:-1] + np.bincount(own[nbr < own], minlength=n) + np.arange(n)
+    is_diag = np.zeros(len(nbr) + n, dtype=bool)
+    is_diag[diag_at] = True
+    rows, vals = np.empty(len(is_diag), dtype=np.int64), np.empty(len(is_diag))
+    rows[diag_at], rows[~is_diag] = np.arange(n), nbr
+    vals[diag_at], vals[~is_diag] = d, -w.data
+    col = np.repeat(np.arange(n), np.diff(ptr) + 1)
+    in_rows = np.zeros(n, dtype=bool)
+    in_rows[interior] = True
+    keep = in_rows[rows] & (col != root)
+    row_of = np.cumsum(in_rows) - 1
+    counts = np.bincount(col[keep], minlength=n)
+    mat = sp.csc_matrix(
+        (vals[keep], row_of[rows[keep]], np.concatenate(([0], np.cumsum(np.delete(counts, root))))),
         shape=(len(interior), n - 1),
     )
+    rhs = np.zeros(len(interior))
+    if in_rows[root]:
+        rhs[row_of[root]] -= d[root] * value
+    at = slice(ptr[root], ptr[root + 1])
+    hit = in_rows[nbr[at]]
+    rhs[row_of[nbr[at][hit]]] += w.data[at][hit] * value
     return mat, rhs
 
 
@@ -226,7 +247,7 @@ def truncated_dirichlet_solve(
         )
 
     mat, rhs = _dirichlet_system(g, alpha, root, value, interior_idx)
-    sol = spsolve(mat.tocsc(), rhs)
+    sol = spsolve(mat, rhs)
     if not np.all(np.isfinite(sol)):
         raise StructuralError("free-boundary system is singular")
     scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(sol))))

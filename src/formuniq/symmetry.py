@@ -237,7 +237,7 @@ def _sphere_constant(
     vals = values[sphere]
     lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
     a, b = vals[lo], vals[hi]
-    if abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
+    if a == b or abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
         return None
     return SymmetryWitness(r, int(sphere[lo]), int(sphere[hi]), name, float(a), float(b))
 
@@ -266,10 +266,9 @@ def is_weakly_spherically_symmetric(
     for j, (values, _) in enumerate(fields):
         vals = values[ids]
         a, b = np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts)
-        with np.errstate(invalid="ignore"):  # inf vs inf differs, as for floats
-            flagged[:, j] = ~(
-                np.abs(a - b) <= SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-            )
+        with np.errstate(invalid="ignore"):  # inf - inf, where a == b holds
+            close = np.abs(a - b) <= SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        flagged[:, j] = ~((a == b) | close)
     # the witness: the first flagged sphere and field, by radius, then field
     for r, j in zip(*np.nonzero(flagged)):
         w = _sphere_constant(fields[j][0], spheres[r], int(r), fields[j][1])

@@ -34,7 +34,7 @@ from formuniq.graph import (
     component_labels,
     induced_subgraph,
 )
-from formuniq.series import PowerGeomTail, quotient_graph
+from formuniq.series import PowerGeomTail, profile_from_graph, quotient_graph
 from formuniq.stability import EDGE_CROSS, decompose
 from formuniq.symmetry import (
     SymmetryReport,
@@ -143,7 +143,8 @@ def reference_spheres(g, roots):
 
 def reference_symmetry(dec, max_radius=None):
     """The sphere by sphere scan: the first sphere, then the first of
-    kappa_plus, kappa_minus and q, whose least and largest values differ."""
+    kappa_plus, kappa_minus and q, whose least and largest values differ
+    (equal values, inf included, never do; nan always does)."""
     top = dec.radius if max_radius is None else min(dec.radius, max_radius)
     for r in range(top + 1):
         s = dec.spheres[r]
@@ -153,7 +154,7 @@ def reference_symmetry(dec, max_radius=None):
             vals = values[s]
             lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
             a, b = vals[lo], vals[hi]
-            if not abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
+            if not (a == b or abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b))):
                 witness = SymmetryWitness(r, int(s[lo]), int(s[hi]), name, float(a), float(b))
                 return SymmetryReport(False, witness)
     return SymmetryReport(True, None)
@@ -553,11 +554,10 @@ def test_symmetry_check_matches_the_sphere_scan_on_perturbed_graphs(fam, depth):
         assert_same_reports(h, sphere_decomposition(h, [0]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("depth", [240, 260, 300])
 def test_symmetry_check_matches_the_sphere_scan_on_inf_and_nan_ratios(depth):
-    # kappa_plus = dB(r) / m(S_r) = (2 / 0.12)^r is inf from r = 253 on,
-    # and inf against inf is a difference, as for floats
+    # kappa_plus = dB(r) / m(S_r) = (2 / 0.12)^r is inf from r = 253 on:
+    # inf against inf is no difference, nan against anything is one
     p = birth_death(PowerGeomTail(1, 0, 2), PowerGeomTail(1, 0, 0.12)).profile
     g = quotient_graph(p, depth)
     dec = sphere_decomposition(g, [0])
@@ -566,6 +566,26 @@ def test_symmetry_check_matches_the_sphere_scan_on_inf_and_nan_ratios(depth):
         values = getattr(dec, field).copy()
         values[at] = np.nan
         assert_same_reports(g, dataclasses.replace(dec, **{field: values}))
+
+
+def test_equal_infinite_ratios_are_sphere_constant():
+    # the quotient chain is symmetric by construction; its one-vertex
+    # spheres used to read "kappa_plus differs on sphere 253: vertex 253
+    # has inf, vertex 253 has inf", with a warning from inf - inf
+    p = birth_death(PowerGeomTail(1, 0, 2), PowerGeomTail(1, 0, 0.12)).profile
+    g = quotient_graph(p, 260)
+    dec = sphere_decomposition(g, [0])
+    assert np.isinf(dec.kappa_plus[253:260]).all()
+    assert is_weakly_spherically_symmetric(g, dec) == SymmetryReport(True, None)
+    assert profile_from_graph(g, dec, 258).prefix_len == 258
+    # two vertices of one sphere, both inf
+    kappa = dec.kappa_plus.copy()
+    twin = dataclasses.replace(dec, kappa_plus=kappa, spheres=dec.spheres[:253] + (np.array([253, 254]),))
+    assert is_weakly_spherically_symmetric(g, twin, max_radius=253).symmetric
+    kappa[254] = np.nan
+    assert str(is_weakly_spherically_symmetric(g, twin, max_radius=253).witness) == (
+        "kappa_plus differs on sphere 253: vertex 254 has nan, vertex 254 has nan"
+    )
 
 
 @settings(max_examples=200, deadline=None)

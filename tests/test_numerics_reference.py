@@ -29,7 +29,22 @@ from formuniq.capacity import (
 )
 from formuniq.errors import PreconditionError, StructuralError
 from formuniq.capacity import radial_boundary_reach
-from formuniq.families import GALLERY, SeqSpec, Truncation, birth_death, gallery, wss_tree
+from formuniq.families import (
+    GALLERY,
+    WSS_GALLERY,
+    SeqSpec,
+    Truncation,
+    bilateral_chain,
+    birth_death,
+    double_ladder,
+    gallery,
+    geometric,
+    linear,
+    pendant_chain,
+    power_seq,
+    star_chain,
+    wss_tree,
+)
 from formuniq.graph import WeightedGraph, form_norm_sq, format_graph_text, induced_subgraph, vertex_mask
 from formuniq.harmonic import _dirichlet_system, solve_symmetric_harmonic, truncated_dirichlet_solve
 from formuniq.series import quotient_graph
@@ -257,10 +272,12 @@ def assert_same(got, want):
 
 
 def assert_same_matrix(got, want):
+    """Same format and shape, index arrays (values and dtypes) and data bytes."""
+    assert (got.format, got.shape) == (want.format, want.shape)
     for field in ("indptr", "indices"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype, field
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
     assert_bits(got.data, want.data)
-    assert got.shape == want.shape
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +438,7 @@ def test_dirichlet_system_matches_the_vertex_loop(g, data):
     interior = np.delete(np.arange(n), free)
     mat, rhs = _dirichlet_system(g, alpha, root, value, interior)
     want_mat, want_rhs = reference_dirichlet_system(g, alpha, root, value, interior)
-    assert_same_matrix(mat, want_mat)
+    assert_same_matrix(mat, want_mat.tocsc())
     assert_bits(rhs, want_rhs)
     got = outcome(lambda: truncated_dirichlet_solve(g, alpha, (root, value), interior=interior))
     if not isinstance(got, tuple):
@@ -439,7 +456,7 @@ def test_dirichlet_rows_with_many_fractional_terms():
         interior = np.arange(n - 1)
         mat, rhs = _dirichlet_system(g, 0.7, root, 1.0, interior)
         want_mat, want_rhs = reference_dirichlet_system(g, 0.7, root, 1.0, interior)
-        assert_same_matrix(mat, want_mat)
+        assert_same_matrix(mat, want_mat.tocsc())
         assert_bits(rhs, want_rhs)
 
 
@@ -447,7 +464,7 @@ def test_dirichlet_rows_with_many_fractional_terms():
 def test_instability_solves_on_the_benchmark_depths(name):
     fam = gallery(name)
     rail0 = "chain" if fam.kind in ("pendant", "star") else "x"
-    for depth in (20, 40, 80):
+    for depth in (20, 40, 80, 160, 320):
         t = fam.build(depth)
         g = t.graph
         rim = reference_find_role(t, f"{rail0}:{depth}")
@@ -455,11 +472,28 @@ def test_instability_solves_on_the_benchmark_depths(name):
         interior = np.setdiff1d(np.arange(g.vertex_count), [rim])
         mat, rhs = _dirichlet_system(g, 1.0, anchor, 1.0, interior)
         want_mat, want_rhs = reference_dirichlet_system(g, 1.0, anchor, 1.0, interior)
-        assert_same_matrix(mat, want_mat)
+        assert_same_matrix(mat, want_mat.tocsc())
         assert_bits(rhs, want_rhs)
         assert_bits(
             truncated_dirichlet_solve(g, 1.0, (anchor, 1.0), interior=interior),
             reference_dirichlet(g, 1.0, anchor, 1.0, interior),
+        )
+
+
+@pytest.mark.parametrize("name", WSS_GALLERY)
+def test_quotient_chain_solves_at_the_prefix_depth(name):
+    # the harmonic benchmark's direct solve: the radial quotient chain to
+    # depth 318, anchored at the root, the outermost radius free
+    g = quotient_graph(gallery(name).profile, 318)
+    interior = np.arange(318)
+    for alpha in (0.25, 2.0):
+        mat, rhs = _dirichlet_system(g, alpha, 0, 1.0, interior)
+        want_mat, want_rhs = reference_dirichlet_system(g, alpha, 0, 1.0, interior)
+        assert_same_matrix(mat, want_mat.tocsc())
+        assert_bits(rhs, want_rhs)
+        assert_same(
+            outcome(lambda: (truncated_dirichlet_solve(g, alpha, (0, 1.0)),)),
+            outcome(lambda: (reference_dirichlet(g, alpha, 0, 1.0, interior),)),
         )
 
 
@@ -505,13 +539,32 @@ def test_cutoff_region_ids_are_checked():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(GALLERY))
-def test_role_lookups_match_the_scans(name):
-    fam = gallery(name)
-    for depth in (3, 10):
+def reference_roles(kind, t):
+    """The per-vertex role strings each builder wrote."""
+    d = t.depth
+    if kind == "chain":
+        return tuple(f"chain:{k}" for k in range(d + 1))
+    if kind in ("tree", "anti_tree"):
+        sizes = np.bincount(t.layer)
+        return tuple(f"sphere:{r}" for r, size in enumerate(sizes) for _ in range(size))
+    if kind == "bilateral":
+        return ("origin",) + tuple(f"{s}:{i}" for i in range(1, d + 1) for s in ("pos", "neg"))
+    if kind == "ladder":
+        return tuple(f"{s}:{i}" for i in range(d + 1) for s in ("x", "y", "z"))
+    pairs = tuple(f"{s}:{i}" for i in range(d + 1) for s in ("chain", "pendant"))
+    return ("hub",) + pairs if kind == "star" else pairs
+
+
+def assert_role_lookups(fam, depths):
+    for depth in depths:
         t = fam.build(depth)
+        assert t.roles == reference_roles(fam.kind, t)
+        for ids in t.rails.values():
+            assert ids.dtype == np.int64 and not ids.flags.writeable
         prefixes = {r.split(":")[0] for r in t.roles} | {"chain", "missing", ""}
-        for role in sorted(set(t.roles) | {"missing", "chain", "sphere:1"}):
+        odd = {"missing", "chain", "sphere:1", "hub:0", "chain:-0", "chain:+1", "chain:01", "chain: 1",
+               "chain:1:", "chain:None", f"chain:{depth + 1}", f"chain:{2**70}", "x:-1", ":1"}
+        for role in sorted(set(t.roles) | odd):
             assert outcome(lambda: t.find_role(role)) == outcome(
                 lambda: reference_find_role(t, role)
             )
@@ -524,6 +577,45 @@ def test_role_lookups_match_the_scans(name):
             assert np.asarray(_family_x1(t, fam.x1_role)).tolist() == reference_family_x1(
                 t, fam.x1_role
             )
+        # the role strings, read back, give the builder's rails
+        back = Truncation(t.graph, t.root, t.depth, t.roles, t.layer)
+        assert back.bare == t.bare and back.rails.keys() == t.rails.keys()
+        for prefix, ids in t.rails.items():
+            assert_bits(back.rails[prefix], ids)
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_role_lookups_match_the_scans(name):
+    assert_role_lookups(gallery(name), (3, 10))
+
+
+CONSTRUCTED = {
+    "birth_death": lambda: birth_death(power_seq(1.5), geometric(0.7), 0.25),
+    "pendant_chain": lambda: pendant_chain(linear(), geometric(0.9), power_seq(-2.0), 3.0),
+    "star_chain": lambda: star_chain(
+        linear(2.0), power_seq(-1.0), 0.5, geometric(0.8), power_seq(-3.0), hub_m=4.0
+    ),
+    "double_ladder": lambda: double_ladder(1.0, 2.0, linear(), 0.5, 3.0, power_seq(-2.0), 0.25, linear()),
+    "bilateral_chain": lambda: bilateral_chain(linear(), geometric(0.9), power_seq(2.0), 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_role_lookups_match_the_scans_on_constructed_families(name):
+    assert_role_lookups(CONSTRUCTED[name](), (1, 10, 100))
+
+
+def test_roles_that_do_not_name_their_layer_are_refused():
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], np.ones(3))
+    layer = np.array([0, 1, 2])
+    with pytest.raises(ValueError, match="does not name its layer"):
+        Truncation(g, 0, 2, ("a:0", "a:2", "a:2"), layer)
+    with pytest.raises(ValueError, match="both bare and with layers"):
+        Truncation(g, 0, 2, ("a", "a:1", "b:2"), layer)
+    # a bare rail runs by layer, its role's vertices by id
+    t = Truncation(g, 0, 2, ("hub", "a:1", "hub"), layer[::-1])
+    assert t.rail("hub").tolist() == [2, 0] and t.role_vertices("hub").tolist() == [0, 2]
+    assert t.find_role("a:1") == 1 and t.roles == ("hub", "a:1", "hub")
 
 
 def test_rails_order_ties_by_id():
