@@ -385,7 +385,10 @@ def profile_boundary_capacity(
         a_r = (m+c)(S_r) + dB(r-1) s_{r-1}
 
     (dB(r-1) s_{r-1} is edge and inner ball in series).  Every term is
-    positive, so the loop neither cancels nor overflows.
+    positive, so the loop does not cancel.  A depth at or past the first
+    radius where dB or (m+c) leaves the float range is not evaluated
+    (dB = inf would make the next a_r inf * 0), and the estimate is then
+    undecided.
     """
     _check_depths(depths)
     name = name or p.name
@@ -405,10 +408,13 @@ def profile_boundary_capacity(
             ("total radial sigma-length is infinite, so the Cauchy boundary is empty",),
         )
     top = max(depths) + 1
-    b = p.values("boundary", top + 1).tolist()
-    mc = (p.values("measure", top + 1) + p.values("killing", top + 1)).tolist()
+    b = p.values("boundary", top + 1)
+    mc = p.values("measure", top + 1) + p.values("killing", top + 1)
+    off = ~(np.isfinite(b) & np.isfinite(mc))
+    stop = int(np.argmax(off)) if off.any() else top
+    b, mc = b.tolist(), mc.tolist()
     a = [mc[0]]
-    for r in range(1, top + 1):
+    for r in range(1, stop + 1):
         a.append(mc[r] + b[r - 1] * (a[r - 1] / (a[r - 1] + b[r - 1])))
 
     rows: list[CapacityRow] = []
@@ -428,13 +434,19 @@ def profile_boundary_capacity(
             values.append(math.inf)
             evidence.append(f"eps={eps:.3e}: constrained tail has infinite (c+m)-mass")
             continue
+        if depth >= stop:
+            evidence.append(
+                f"dB or (m+c) leaves the float range at radius {stop}: "
+                f"depth {depth} and deeper are not evaluated"
+            )
+            break
         value = a[r_cut] + p.mass_beyond(r_cut)
         trapped = tail_mass if p.killing_is_zero else p.measure_beyond(depth)
         rows.append(CapacityRow(depth, eps, desc, value, float(trapped)))
         values.append(value)
 
     _check_nonincreasing(values)
-    extrapolated, label = _classify(values)
+    extrapolated, label = _classify(values) if len(rows) == len(depths) else (None, "undecided")
     return CapacityEstimate(name, tuple(rows), extrapolated, label, tuple(evidence))
 
 

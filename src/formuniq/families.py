@@ -7,8 +7,9 @@ graph:
   also named ``SeqSpec``),
 * an exact :class:`RadialProfile` (when the graph is weakly spherically
   symmetric about its root) or per-end profiles,
-* finite truncations as :class:`WeightedGraph` objects, with role
-  labels so later analyses can find "the chain", "the pendants", etc.
+* finite truncations as :class:`WeightedGraph` objects, with their
+  rails (the vertex ids of "the chain", "the pendants", etc., by layer)
+  so later analyses can find them.
 
 The layered families (chains, trees, anti-trees) are spherically
 symmetric; the composite ones (bilateral chains, pendant chains, star
@@ -19,8 +20,7 @@ consumed by the decomposition and instability machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -150,17 +150,12 @@ def _spheres(sizes: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class Truncation:
-    """A finite ball of a family, with its vertices' roles.
+    """A finite ball of a family, cut at layer ``depth``.
 
     ``layer[v]`` is the layer index vertex ``v`` belongs to.  ``rails``
-    maps each role prefix to its vertices, by layer, then by id
-    (read-only int64 arrays); every vertex lies on one rail.  The
-    vertex of rail ``p`` in layer ``k`` has the role ``"p:k"``, such as
-    ``"chain:3"`` or ``"sphere:2"``, except on the rails named in
-    ``bare``, whose vertices have the role ``"p"``, such as ``"hub"``.
-    Role lookups slice the rails; ``roles``, the per-vertex strings, is
-    built when it is read.  A sequence of per-vertex role strings
-    passed as ``rails`` is turned into rails once.
+    maps each rail's name, such as ``"chain"``, ``"hub"`` or
+    ``"sphere"``, to its vertices by layer, then by id (read-only int64
+    arrays); every vertex lies on one rail.
     """
 
     graph: WeightedGraph
@@ -168,82 +163,19 @@ class Truncation:
     depth: int
     rails: Mapping[str, np.ndarray]
     layer: np.ndarray
-    bare: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if isinstance(self.rails, Mapping):
-            rails, bare = self.rails, self.bare
-        else:
-            rails, bare = _rails_of_roles(self.rails, self.layer)
         frozen = {}
-        for prefix, ids in rails.items():
-            frozen[prefix] = np.asarray(ids, dtype=np.int64).view()
-            frozen[prefix].flags.writeable = False
+        for name, ids in self.rails.items():
+            frozen[name] = np.asarray(ids, dtype=np.int64).view()
+            frozen[name].flags.writeable = False
         object.__setattr__(self, "rails", frozen)
-        object.__setattr__(self, "bare", frozenset(bare))
 
-    @cached_property
-    def roles(self) -> tuple[str, ...]:
-        """Each vertex's role, by id."""
-        roles = np.empty(len(self.layer), dtype=object)
-        for prefix, ids in self.rails.items():
-            if prefix in self.bare:
-                roles[ids] = prefix
-            else:
-                roles[ids] = [f"{prefix}:{k}" for k in self.layer[ids].tolist()]
-        return tuple(roles.tolist())
-
-    def role_vertices(self, role: str) -> np.ndarray:
-        """The vertices whose role is ``role``, ascending (maybe none)."""
-        none = np.empty(0, dtype=np.int64)
-        prefix, colon, k = role.partition(":")
-        ids = self.rails.get(prefix)
-        if ids is None or bool(colon) == (prefix in self.bare):
-            return none
-        if not colon:
-            return np.sort(ids)
-        try:
-            at = int(k)
-        except ValueError:
-            return none
-        if str(at) != k:
-            return none
-        layers = self.layer[ids]
-        return ids[np.searchsorted(layers, at) : np.searchsorted(layers, at, "right")]
-
-    def find_role(self, role: str) -> int:
-        hits = self.role_vertices(role)
-        if len(hits) != 1:
-            raise KeyError(f"role {role!r} matches {len(hits)} vertices")
-        return int(hits[0])
-
-    def rail(self, prefix: str) -> np.ndarray:
-        """Vertices whose role starts with ``prefix + ':'`` (or is
-        ``prefix``), by layer, then by id (a read-only array)."""
-        rail = self.rails.get(prefix)
+    def rail(self, name: str) -> np.ndarray:
+        """The vertices of rail ``name``, by layer, then by id (a read-only
+        array, empty for an unknown name)."""
+        rail = self.rails.get(name)
         return np.empty(0, dtype=np.int64) if rail is None else rail
-
-
-def _rails_of_roles(
-    roles: Sequence[str], layer: np.ndarray
-) -> tuple[dict[str, np.ndarray], set[str]]:
-    """The rails and bare prefixes of per-vertex role strings, each
-    ``"prefix"`` or ``"prefix:layer"``."""
-    parts: dict[str, list[int]] = {}
-    suffixed, bare = set(), set()
-    for v, role in enumerate(roles):
-        prefix, colon, k = role.partition(":")
-        if colon and k != str(int(layer[v])):
-            raise ValueError(f"role {role!r} of vertex {v} does not name its layer {layer[v]}")
-        (suffixed if colon else bare).add(prefix)
-        parts.setdefault(prefix, []).append(v)
-    if suffixed & bare:
-        raise ValueError(f"roles {sorted(suffixed & bare)} are used both bare and with layers")
-    rails = {}
-    for prefix, ids in parts.items():
-        ids = np.array(ids, dtype=np.int64)
-        rails[prefix] = ids[np.argsort(layer[ids], kind="stable")]
-    return rails, bare
 
 
 @dataclass
@@ -333,7 +265,7 @@ def birth_death(
         _check_depth(depth)
         r = np.arange(depth + 1)
         g = WeightedGraph._from_columns(
-            depth + 1, r[:-1], r[1:], b.values(r[:-1]), measure=m.values(r), killing=c.values(r)
+            depth + 1, r[:-1], r[1:], _values(b, r[:-1]), measure=_values(m, r), killing=_values(c, r)
         )
         return Truncation(g, 0, depth, {"chain": r}, r)
 
@@ -508,7 +440,7 @@ def bilateral_chain(
         layer = np.concatenate(([0], np.repeat(r[1:], 2)))
         g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
         rails = {"origin": [0], "pos": 2 * r[1:] - 1, "neg": 2 * r[1:]}
-        return Truncation(g, 0, depth, rails, layer, bare=frozenset({"origin"}))
+        return Truncation(g, 0, depth, rails, layer)
 
     return Family(
         name=name,
@@ -609,7 +541,7 @@ def star_chain(
         g = WeightedGraph._from_columns(len(measure), *edges, measure=measure)
         rails = {"hub": [0], "chain": 1 + 2 * k, "pendant": 2 + 2 * k}
         layer = np.concatenate(([0], np.repeat(k, 2)))
-        return Truncation(g, 1, depth, rails, layer, bare=frozenset({"hub"}))
+        return Truncation(g, 1, depth, rails, layer)
 
     def hypotheses() -> Iterator[tuple[str, bool | None]]:
         yield from _chain_hypotheses(cb, cm, "chain")

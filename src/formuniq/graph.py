@@ -38,6 +38,14 @@ from .errors import GraphFormatError, StructuralError
 SYMMETRY_TOL = 1e-9
 
 
+def _within_tol(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ``a`` and ``b`` are both finite and agree within
+    :data:`SYMMETRY_TOL` (so inf agrees with nothing, not even inf)."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        close = np.abs(a - b) <= SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return np.isfinite(a) & np.isfinite(b) & close
+
+
 def _vertex_text(t: float) -> str:
     """A vertex id as ``int()`` reads it (non-finite ids as they are)."""
     return str(int(t)) if np.isfinite(t) else str(float(t))
@@ -55,9 +63,9 @@ def _canonical_edges(
     ``v`` and a weight column ``w``; no output shares the input's memory.
 
     A pair listed twice keeps its first weight; a later weight must agree
-    with it within :data:`SYMMETRY_TOL`.  The error names the first
-    offending edge in input order, an unknown vertex's edge worded by
-    ``pair_text(i)`` when that is given.
+    with it, finite and within :data:`SYMMETRY_TOL`.  The error names the
+    first offending edge in input order, an unknown vertex's edge worded
+    by ``pair_text(i)`` when that is given.
     """
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     w = np.asarray(w, dtype=float)
@@ -79,11 +87,7 @@ def _canonical_edges(
     if len(repeat):
         # each repeat against the first weight listed for its pair
         seen, again = ws[first][np.cumsum(first)[repeat] - 1], ws[repeat]
-        with np.errstate(invalid="ignore"):  # inf vs inf conflicts, as for floats
-            close = np.abs(seen - again) <= SYMMETRY_TOL * np.maximum(
-                1.0, np.maximum(np.abs(seen), np.abs(again))
-            )
-        clash = np.flatnonzero(~close)
+        clash = np.flatnonzero(~_within_tol(seen, again))
         if len(clash):
             i = clash[np.argmin(order[repeat[clash]])]
             pair = (int(lo[repeat[i]]), int(hi[repeat[i]]))

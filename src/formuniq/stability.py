@@ -414,19 +414,17 @@ class InstabilityReport:
     notes: tuple[str, ...] = ()
 
 
-def _solve_example(trunc: Truncation, alpha: float, rail: str) -> np.ndarray:
-    """Positive solution of (L + alpha) u = 0 anchored at the start of
-    ``rail``.
+def _solve_example(trunc: Truncation, alpha: float, rail: np.ndarray) -> np.ndarray:
+    """Positive solution of (L + alpha) u = 0 anchored at the first vertex
+    of ``rail``.
 
-    The equation is imposed everywhere except the outermost vertex of
-    the rail, which acts as a free boundary; on these examples the
-    resulting function is the truncation's unique positive candidate.
+    The equation is imposed everywhere except the last vertex of the
+    rail, which acts as a free boundary; on these examples the resulting
+    function is the truncation's unique positive candidate.
     """
     g = trunc.graph
-    rim = trunc.find_role(f"{rail}:{trunc.depth}")
-    anchor = trunc.find_role(f"{rail}:0")
-    interior = np.delete(np.arange(g.vertex_count), rim)
-    u = truncated_dirichlet_solve(g, alpha, (anchor, 1.0), interior=interior)
+    interior = np.delete(np.arange(g.vertex_count), rail[-1])
+    u = truncated_dirichlet_solve(g, alpha, (rail[0], 1.0), interior=interior)
     if u.min() <= 0:
         raise StructuralError("positive-solution ansatz failed on the truncation")
     return u
@@ -467,7 +465,8 @@ def analyze_instability_example(
     accumulates energy whose per-layer increments must stay above
     ``floor`` (default 1e-6 * u(anchor)^2) — the divergence witness.
     Raises a precondition error naming the first violated series
-    hypothesis.
+    hypothesis, and a structural error naming a rail that does not hold
+    one vertex per layer.
     """
     if family.replay is None:
         raise PreconditionError(f"no instability analysis for family kind {family.kind!r}")
@@ -489,12 +488,16 @@ def analyze_instability_example(
     pattern_all = True
     for depth in depths:
         trunc = family.build(depth)
-        u = _solve_example(trunc, alpha, rail0)
+        chain, attached = trunc.rail(rail0), trunc.rail(attach)
+        for name, rail in ((rail0, chain), (attach, attached)):  # read by layer below
+            if not np.array_equal(trunc.layer[rail], np.arange(depth + 1)):
+                raise StructuralError(
+                    f"rail {name!r} does not hold one vertex per layer 0..{depth}"
+                )
+        u = _solve_example(trunc, alpha, chain)
         # the last quarter of the truncation feels the free boundary;
         # patterns and energies are read inside the remaining window
         window = max(2, (3 * depth) // 4)
-        chain = trunc.rail(rail0)
-        attached = trunc.rail(attach)
 
         onset, rising = _increase_onset(u[chain[: window + 2]])
         ks = np.arange(onset, window + 1)

@@ -24,9 +24,9 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import StructuralError
 from .graph import (
-    SYMMETRY_TOL,
     WeightedGraph,
     _as_function,
+    _within_tol,
     laplacian,
     require_connected_to,
     vertex_mask,
@@ -231,17 +231,6 @@ class SymmetryReport:
         return self.symmetric
 
 
-def _sphere_constant(
-    values: np.ndarray, sphere: np.ndarray, r: int, name: str
-) -> SymmetryWitness | None:
-    vals = values[sphere]
-    lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
-    a, b = vals[lo], vals[hi]
-    if a == b or abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
-        return None
-    return SymmetryWitness(r, int(sphere[lo]), int(sphere[hi]), name, float(a), float(b))
-
-
 def is_weakly_spherically_symmetric(
     g: WeightedGraph,
     root: Sequence[int] | SphereDecomposition,
@@ -258,23 +247,24 @@ def is_weakly_spherically_symmetric(
     if not spheres:
         return SymmetryReport(True, None)
     fields = (dec.kappa_plus, "kappa_plus"), (dec.kappa_minus, "kappa_minus"), (dec.q, "q")
-    # each sphere's least and largest value of each field, in one pass
-    # per field, under the test _sphere_constant makes
+    # each sphere's least and largest value of each field, in one pass per
+    # field; they agree when equal, inf included, or finite and close
     ids = np.concatenate(spheres)
     starts = np.cumsum([0] + [len(s) for s in spheres[:-1]])
-    flagged = np.empty((len(spheres), len(fields)), dtype=bool)
+    differ = np.empty((len(spheres), len(fields)), dtype=bool)
     for j, (values, _) in enumerate(fields):
         vals = values[ids]
         a, b = np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts)
-        with np.errstate(invalid="ignore"):  # inf - inf, where a == b holds
-            close = np.abs(a - b) <= SYMMETRY_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        flagged[:, j] = ~((a == b) | close)
-    # the witness: the first flagged sphere and field, by radius, then field
-    for r, j in zip(*np.nonzero(flagged)):
-        w = _sphere_constant(fields[j][0], spheres[r], int(r), fields[j][1])
-        if w is not None:
-            return SymmetryReport(False, w)
-    return SymmetryReport(True, None)
+        differ[:, j] = ~((a == b) | _within_tol(a, b))
+    if not differ.any():
+        return SymmetryReport(True, None)
+    # the witness: the first sphere and field that differ, by radius, then field
+    r, j = np.argwhere(differ)[0].tolist()
+    (values, name), sphere = fields[j], spheres[r]
+    a, b = int(sphere[np.argmin(values[sphere])]), int(sphere[np.argmax(values[sphere])])
+    return SymmetryReport(
+        False, SymmetryWitness(r, a, b, name, float(values[a]), float(values[b]))
+    )
 
 
 def commutation_residual(

@@ -375,6 +375,52 @@ def test_capacity_past_the_float_range_is_undecided(capsys):
     ]
 
 
+GEOMETRIC_ROWS = {
+    16: "16,1.2458749098628632e-05,0.8250511222505519,1.52587890625e-05,1",
+    1000: "1000,7.620065536121264e-302,0.8250407357089236,9.332636185031767e-302,1",
+    1023: "1023,9.08382598891318e-309,0.8250407357089236,1.112536929253566e-308,1",
+    1024: "1024,4.54191299445684e-309,0.8250407357089234,5.562684646268137e-309,1",
+}
+
+
+@pytest.mark.parametrize("depths,first_off", [((16, 1000, 1030, 2000), 1030), ((16, 1030), 1030),
+                                              ((1023, 1024, 1025), 1025)])
+def test_capacity_stops_where_the_profile_leaves_the_float_range(capsys, depths, first_off):
+    # dB(1025) = 2^1025 is inf, so the next a_r was inf * 0: a nan capacity
+    argv = ("capacity", "--family", "geometric_chain", "--depths", ",".join(map(str, depths)))
+    code, out, err = run(capsys, *argv)
+    assert code == INCONCLUSIVE
+    assert err == "" and "nan" not in out
+    assert out.splitlines() == [
+        "depth,epsilon,cap,trapped_measure,stable",
+        *(GEOMETRIC_ROWS[d] for d in depths if d < first_off),
+        "# classification: undecided",
+        f"# dB or (m+c) leaves the float range at radius 1025: depth {first_off} and deeper "
+        "are not evaluated",
+    ]
+
+
+def test_capacity_below_the_float_range_limit_is_unchanged(capsys):
+    code, out, _ = run(capsys, "capacity", "--family", "geometric_chain", "--depths", "1023,1024")
+    assert code == OK
+    assert out.splitlines() == [
+        "depth,epsilon,cap,trapped_measure,stable",
+        GEOMETRIC_ROWS[1023],
+        GEOMETRIC_ROWS[1024],
+        "# classification: positive-finite (0.8250407357089234)",
+    ]
+
+
+@pytest.mark.parametrize("params", [["b=geom:2", "m=1"], None])
+def test_a_chain_past_the_float_range_is_an_input_error(capsys, params):
+    # birth_death used to write "E 1099 1100 inf"
+    argv = ["family", "--name", "birth_death" if params else "geometric_chain", "--depth", "1100"]
+    argv += ["--params", *params] if params else []
+    code, out, err = run(capsys, *argv, "--emit", "graph")
+    assert code == INPUT_ERROR and out == ""
+    assert err == "error: 1*(r+1)^0*2^r leaves the float range at layer 1025; use a smaller depth\n"
+
+
 @pytest.mark.parametrize("depth", ["411", "819", "820"])
 def test_capacity_past_the_float_range_of_a_degree_is_undecided(capsys, depth):
     # from depth 411 on, the comparison truncation (depth + depth // 4)

@@ -112,7 +112,7 @@ def test_birth_death_truncation_structure():
     g = t.graph
     assert g.vertex_count == 5
     assert t.root == 0 and t.depth == 4
-    assert t.roles == tuple(f"chain:{r}" for r in range(5))
+    assert list(t.rails) == ["chain"] and t.rail("chain").tolist() == list(range(5))
     np.testing.assert_array_equal(t.layer, np.arange(5))
     np.testing.assert_allclose(g.measure, [0.5**r for r in range(5)])
     np.testing.assert_allclose(g.killing, np.full(5, 0.25))
@@ -147,11 +147,11 @@ def test_wss_tree_structure():
     t = fam.build(3)
     g = t.graph
     assert g.vertex_count == 1 + 2 + 4 + 8
+    assert list(t.rails) == ["sphere"] and t.rail("sphere").tolist() == list(range(15))
     # every vertex at radius < 3 has exactly 2 forward neighbours
     for r in range(3):
         at_r = [v for v in range(g.vertex_count) if t.layer[v] == r]
         assert len(at_r) == 2**r
-        assert all(t.roles[v] == f"sphere:{r}" for v in at_r)
     us, vs, ws = g.edge_u, g.edge_v, g.edge_w
     assert len(ws) == 2 + 4 + 8
     assert np.all(ws == 1.0)
@@ -258,6 +258,10 @@ DOUBLES, HALVES = "1*(r+1)^0*2^r", "1*(r+1)^0*0.5^r"
         (star_chain(1.0, 1.0, 1.0, 1.0, geometric(0.5)), HALVES, 1075),
         (double_ladder(1.0, 1.0, 1.0, 1.0, 1.0, geometric(0.5), 1.0, 1.0), HALVES, 1075),
         (bilateral_chain(1.0, 1.0, geometric(2.0), 1.0), DOUBLES, 1025),
+        # the chain used to write inf weights and zero killings
+        (birth_death(geometric(2.0), 1.0), DOUBLES, 1025),
+        (gallery("geometric_chain"), DOUBLES, 1025),
+        (birth_death(1.0, 1.0, geometric(0.5)), HALVES, 1075),
     ],
 )
 def test_a_closed_form_past_the_float_range_names_its_layer(fam, form, layer):
@@ -315,25 +319,18 @@ def test_truncation_agrees_with_profile(name):
 
 
 # ---------------------------------------------------------------------------
-# truncation role lookup
+# truncation rails
 # ---------------------------------------------------------------------------
 
 
-def test_find_role_and_rail():
+def test_rail_lookup():
     t = gallery("pendant_instability").build(4)
-    assert t.find_role("chain:0") == 0
-    assert t.find_role("pendant:2") == 5
-    with pytest.raises(KeyError, match="0 vertices"):
-        t.find_role("hub")
+    assert t.rail("chain")[0] == 0
+    assert t.rail("pendant")[2] == 5
+    assert t.rail("hub").tolist() == [] and t.rail("hub").dtype == np.int64
     chain = t.rail("chain")
     assert [t.layer[v] for v in chain] == list(range(5))
-    assert all(t.roles[v].startswith("chain:") for v in chain)
-
-
-def test_find_role_rejects_ambiguity():
-    t = gallery("binary_tree").build(2)
-    with pytest.raises(KeyError, match="2 vertices"):
-        t.find_role("sphere:1")
+    assert list(t.rails) == ["chain", "pendant"]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,7 @@ def test_bilateral_chain_layout():
     t = fam.build(3)
     g = t.graph
     assert g.vertex_count == 7
-    origin = t.find_role("origin")
+    (origin,) = t.rail("origin")
     assert t.layer[origin] == 0
     pos, neg = t.rail("pos"), t.rail("neg")
     assert len(pos) == len(neg) == 3
@@ -401,7 +398,7 @@ def test_star_chain_layout():
     t = fam.build(2)
     g = t.graph
     assert g.vertex_count == 7
-    hub = t.find_role("hub")
+    (hub,) = t.rail("hub")
     assert g.measure[hub] == pytest.approx(2.0)
     pend = t.rail("pendant")
     weights = {(u, v): w for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w)}

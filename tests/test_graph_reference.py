@@ -64,7 +64,8 @@ def reference_edges(n, edges):
         key = (min(x, y), max(x, y))
         if key in weights:
             a = weights[key]
-            if not abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b)):
+            close = abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b))
+            if not (np.isfinite(a) and np.isfinite(b) and close):
                 raise ValueError(f"conflicting weights for edge {key}: {a} vs {b}")
         else:
             weights[key] = b
@@ -144,7 +145,8 @@ def reference_spheres(g, roots):
 def reference_symmetry(dec, max_radius=None):
     """The sphere by sphere scan: the first sphere, then the first of
     kappa_plus, kappa_minus and q, whose least and largest values differ
-    (equal values, inf included, never do; nan always does)."""
+    (equal values, inf included, never do; nan always does; inf differs
+    from every finite value)."""
     top = dec.radius if max_radius is None else min(dec.radius, max_radius)
     for r in range(top + 1):
         s = dec.spheres[r]
@@ -154,7 +156,8 @@ def reference_symmetry(dec, max_radius=None):
             vals = values[s]
             lo, hi = int(np.argmin(vals)), int(np.argmax(vals))
             a, b = vals[lo], vals[hi]
-            if not (a == b or abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b))):
+            close = np.isfinite(a) and np.isfinite(b) and abs(a - b) <= SYMMETRY_TOL * max(1.0, abs(a), abs(b))
+            if not (a == b or close):
                 witness = SymmetryWitness(r, int(s[lo]), int(s[hi]), name, float(a), float(b))
                 return SymmetryReport(False, witness)
     return SymmetryReport(True, None)
@@ -328,6 +331,17 @@ def test_repeated_infinite_weight_conflicts_as_in_the_loop():
     with pytest.raises(ValueError, match="inf vs inf") as got:
         WeightedGraph(2, edges, np.ones(2))
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("first,again", [(1.0, float("inf")), (float("inf"), 1.0)])
+def test_an_infinite_weight_conflicts_with_a_finite_one(first, again):
+    # |1 - inf| <= tol * inf used to hold, so the finite weight was kept
+    edges = [(0, 1, first), (1, 0, again)]
+    message = f"^conflicting weights for edge \\(0, 1\\): {first} vs {again}$"
+    with pytest.raises(ValueError, match=message):
+        reference_edges(2, edges)
+    with pytest.raises(ValueError, match=message):
+        WeightedGraph(2, edges, np.ones(2))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -588,6 +602,20 @@ def test_equal_infinite_ratios_are_sphere_constant():
     )
 
 
+def test_an_infinite_ratio_differs_from_a_finite_one():
+    # sphere 1 holds kappa_plus inf (1e300 over 1e-10) and 1.0:
+    # |1 - inf| <= tol * inf used to call it sphere-constant
+    g = WeightedGraph(
+        5, [(0, 1, 1e-10), (0, 2, 1.0), (1, 3, 1e300), (2, 4, 1.0)], [1, 1e-10, 1, 1, 1]
+    )
+    dec = sphere_decomposition(g, [0])
+    assert dec.kappa_plus[[1, 2]].tolist() == [np.inf, 1.0]
+    want = SymmetryReport(False, SymmetryWitness(1, 2, 1, "kappa_plus", 1.0, np.inf))
+    assert is_weakly_spherically_symmetric(g, dec, max_radius=1) == want
+    assert reference_symmetry(dec, max_radius=1) == want
+    assert_same_reports(g, dec)
+
+
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs())
 def test_symmetry_check_matches_the_sphere_scan_on_random_graphs(case):
@@ -639,7 +667,7 @@ def test_tree_builder_matches_the_nested_loops(fam, depth):
     sizes = [int(profile_at(fam.profile, "count", r)) for r in range(depth + 1)]
     n = sum(sizes)
     assert_same_edges(trunc.graph, reference_edges(n, reference_tree_edges(kv, sizes)))
-    assert trunc.roles == tuple(f"sphere:{r}" for r, s in enumerate(sizes) for _ in range(s))
+    assert list(trunc.rails) == ["sphere"] and trunc.rail("sphere").tolist() == list(range(n))
     np.testing.assert_array_equal(trunc.layer, np.repeat(np.arange(depth + 1), sizes))
 
 
@@ -663,7 +691,7 @@ def test_anti_tree_builder_matches_the_nested_loops(fam, depth):
     np.testing.assert_array_equal(
         trunc.graph.measure, np.concatenate([np.full(s, seq_at(mv, r)) for r, s in enumerate(sizes)])
     )
-    assert trunc.roles == tuple(f"sphere:{r}" for r, s in enumerate(sizes) for _ in range(s))
+    assert list(trunc.rails) == ["sphere"] and trunc.rail("sphere").tolist() == list(range(n))
     assert trunc.layer.dtype == np.int64
 
 

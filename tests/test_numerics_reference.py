@@ -4,9 +4,10 @@ The references below are the earlier implementations, kept verbatim in
 behaviour: the ``sorted({int(v) ...})`` / ``setdiff1d`` normalisation of
 vertex sets at each call site, the equilibrium solve that sliced the
 adjacency twice, the per-vertex COO loop of the free-boundary system,
-the ``tolil()`` zeroing of the cutoff metric, the role scans of
-``Truncation`` and the per-radius profile lookups of the radial
-degrees, the quotient chain and the harmonic recurrence.  The array
+the ``tolil()`` zeroing of the cutoff metric, each builder's vertex id
+arithmetic for the rails of its truncations, and the per-radius profile
+lookups of the radial degrees, the quotient chain and the harmonic
+recurrence.  The array
 versions must give the same arrays bit for bit, and the same exception
 type and message.
 """
@@ -174,28 +175,6 @@ def reference_cutoff(g, y_set, x0, r):
     eta = np.clip((2 * r - dist) / r, 0.0, 1.0)
     eta[~np.isfinite(dist)] = 0.0
     return eta
-
-
-def reference_find_role(trunc, role):
-    hits = [v for v, r in enumerate(trunc.roles) if r == role]
-    if len(hits) != 1:
-        raise KeyError(f"role {role!r} matches {len(hits)} vertices")
-    return hits[0]
-
-
-def reference_rail(trunc, prefix):
-    hits = [v for v, r in enumerate(trunc.roles) if r.split(":")[0] == prefix]
-    return sorted(hits, key=lambda v: int(trunc.layer[v]))
-
-
-def reference_family_x1(trunc, role):
-    exact = [v for v, r in enumerate(trunc.roles) if r == role]
-    if exact:
-        return exact
-    rail = reference_rail(trunc, role)
-    if not rail:
-        raise StructuralError(f"no vertices with role {role!r}")
-    return rail
 
 
 def reference_reach_sigma(p):
@@ -467,8 +446,8 @@ def test_instability_solves_on_the_benchmark_depths(name):
     for depth in (20, 40, 80, 160, 320):
         t = fam.build(depth)
         g = t.graph
-        rim = reference_find_role(t, f"{rail0}:{depth}")
-        anchor = reference_find_role(t, f"{rail0}:0")
+        rail = np.array(reference_rails(fam.kind, t)[rail0])
+        (anchor,), (rim,) = rail[t.layer[rail] == 0], rail[t.layer[rail] == depth]
         interior = np.setdiff1d(np.arange(g.vertex_count), [rim])
         mat, rhs = _dirichlet_system(g, 1.0, anchor, 1.0, interior)
         want_mat, want_rhs = reference_dirichlet_system(g, 1.0, anchor, 1.0, interior)
@@ -535,58 +514,50 @@ def test_cutoff_region_ids_are_checked():
 
 
 # ---------------------------------------------------------------------------
-# truncation roles
+# truncation rails
 # ---------------------------------------------------------------------------
 
 
-def reference_roles(kind, t):
-    """The per-vertex role strings each builder wrote."""
-    d = t.depth
+def reference_rails(kind, t):
+    """The rails of each builder's vertex id arithmetic."""
+    k = range(t.depth + 1)
     if kind == "chain":
-        return tuple(f"chain:{k}" for k in range(d + 1))
+        return {"chain": list(k)}
     if kind in ("tree", "anti_tree"):
-        sizes = np.bincount(t.layer)
-        return tuple(f"sphere:{r}" for r, size in enumerate(sizes) for _ in range(size))
+        return {"sphere": list(range(t.graph.vertex_count))}
     if kind == "bilateral":
-        return ("origin",) + tuple(f"{s}:{i}" for i in range(1, d + 1) for s in ("pos", "neg"))
+        return {"origin": [0], "pos": [2 * r - 1 for r in k[1:]], "neg": [2 * r for r in k[1:]]}
     if kind == "ladder":
-        return tuple(f"{s}:{i}" for i in range(d + 1) for s in ("x", "y", "z"))
-    pairs = tuple(f"{s}:{i}" for i in range(d + 1) for s in ("chain", "pendant"))
-    return ("hub",) + pairs if kind == "star" else pairs
+        return {s: [3 * i + j for i in k] for j, s in enumerate("xyz")}
+    if kind == "pendant":
+        return {"chain": [2 * i for i in k], "pendant": [2 * i + 1 for i in k]}
+    return {"hub": [0], "chain": [1 + 2 * i for i in k], "pendant": [2 + 2 * i for i in k]}
 
 
-def assert_role_lookups(fam, depths):
+def assert_rails(fam, depths):
     for depth in depths:
         t = fam.build(depth)
-        assert t.roles == reference_roles(fam.kind, t)
+        want = reference_rails(fam.kind, t)
+        assert list(t.rails) == list(want)
+        for name, ids in want.items():
+            assert_bits(t.rail(name), np.array(ids, dtype=np.int64))
+            assert not t.rail(name).flags.writeable
+        # every vertex on exactly one rail, each rail ordered by layer, then by id
+        every = np.concatenate(list(t.rails.values()))
+        assert sorted(every.tolist()) == list(range(t.graph.vertex_count))
         for ids in t.rails.values():
-            assert ids.dtype == np.int64 and not ids.flags.writeable
-        prefixes = {r.split(":")[0] for r in t.roles} | {"chain", "missing", ""}
-        odd = {"missing", "chain", "sphere:1", "hub:0", "chain:-0", "chain:+1", "chain:01", "chain: 1",
-               "chain:1:", "chain:None", f"chain:{depth + 1}", f"chain:{2**70}", "x:-1", ":1"}
-        for role in sorted(set(t.roles) | odd):
-            assert outcome(lambda: t.find_role(role)) == outcome(
-                lambda: reference_find_role(t, role)
-            )
-            assert t.role_vertices(role).tolist() == [v for v, r in enumerate(t.roles) if r == role]
-        for prefix in sorted(prefixes):
-            rail = t.rail(prefix)
-            assert rail.dtype == np.int64
-            assert rail.tolist() == reference_rail(t, prefix)
+            keys = list(zip(t.layer[ids].tolist(), ids.tolist()))
+            assert keys == sorted(keys)
+        for name in ("missing", "", "chain:0"):
+            if name not in want:
+                assert_bits(t.rail(name), np.empty(0, dtype=np.int64))
         if fam.x1_role:
-            assert np.asarray(_family_x1(t, fam.x1_role)).tolist() == reference_family_x1(
-                t, fam.x1_role
-            )
-        # the role strings, read back, give the builder's rails
-        back = Truncation(t.graph, t.root, t.depth, t.roles, t.layer)
-        assert back.bare == t.bare and back.rails.keys() == t.rails.keys()
-        for prefix, ids in t.rails.items():
-            assert_bits(back.rails[prefix], ids)
+            assert_bits(_family_x1(t, fam.x1_role), t.rail(fam.x1_role))
 
 
 @pytest.mark.parametrize("name", sorted(GALLERY))
-def test_role_lookups_match_the_scans(name):
-    assert_role_lookups(gallery(name), (3, 10))
+def test_rails_match_the_builders_arithmetic(name):
+    assert_rails(gallery(name), (1, 3, 10))
 
 
 CONSTRUCTED = {
@@ -601,33 +572,8 @@ CONSTRUCTED = {
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTED))
-def test_role_lookups_match_the_scans_on_constructed_families(name):
-    assert_role_lookups(CONSTRUCTED[name](), (1, 10, 100))
-
-
-def test_roles_that_do_not_name_their_layer_are_refused():
-    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], np.ones(3))
-    layer = np.array([0, 1, 2])
-    with pytest.raises(ValueError, match="does not name its layer"):
-        Truncation(g, 0, 2, ("a:0", "a:2", "a:2"), layer)
-    with pytest.raises(ValueError, match="both bare and with layers"):
-        Truncation(g, 0, 2, ("a", "a:1", "b:2"), layer)
-    # a bare rail runs by layer, its role's vertices by id
-    t = Truncation(g, 0, 2, ("hub", "a:1", "hub"), layer[::-1])
-    assert t.rail("hub").tolist() == [2, 0] and t.role_vertices("hub").tolist() == [0, 2]
-    assert t.find_role("a:1") == 1 and t.roles == ("hub", "a:1", "hub")
-
-
-def test_rails_order_ties_by_id():
-    # layers out of id order, with many ties: a stable sort by layer
-    rng = np.random.default_rng(13)
-    n = 300
-    layer = rng.integers(0, 5, n)
-    roles = tuple(f"{rng.choice(['a', 'b'])}:{k}" for k in layer)
-    g = WeightedGraph(n, [(v, v + 1, 1.0) for v in range(n - 1)], np.ones(n))
-    t = Truncation(g, 0, 4, roles, layer)
-    for prefix in ("a", "b"):
-        assert t.rail(prefix).tolist() == reference_rail(t, prefix)
+def test_rails_match_the_builders_arithmetic_on_constructed_families(name):
+    assert_rails(CONSTRUCTED[name](), (1, 10, 100))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from formuniq import (
     PreconditionError,
+    StructuralError,
     Verdict,
     VerdictState,
     WeightedGraph,
@@ -20,7 +21,7 @@ from formuniq import (
     symmetric_ends_verdict,
 )
 from formuniq import stability
-from formuniq.families import bilateral_chain, geometric, pendant_chain
+from formuniq.families import Truncation, bilateral_chain, geometric, pendant_chain
 from formuniq.series import CustomTail
 from formuniq.stability import (
     EDGE_CROSS,
@@ -386,6 +387,21 @@ def test_replay_builds_only_its_own_depths(name, monkeypatch):
     assert built == [12, 16, 20]
     assert rep.witness_diverges
     assert any("crossing degree unbounded" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("rail,other", [("chain", "pendant"), ("pendant", "chain")])
+def test_replay_refuses_a_rail_with_two_vertices_in_a_layer(rail, other):
+    # the replay reads its rails by layer: a rail that also holds the other
+    # rail's layer-2 vertex is refused, not replayed one layer off
+    fam = gallery("pendant_instability")
+
+    def build(depth):
+        t = fam.build(depth)
+        ids = np.sort(np.append(t.rail(rail), t.rail(other)[2]))  # by layer, then by id
+        return Truncation(t.graph, t.root, t.depth, {**t.rails, rail: ids}, t.layer)
+
+    with pytest.raises(StructuralError, match=rf"^rail '{rail}' does not hold one vertex per layer 0\.\.12$"):
+        analyze_instability_example(dataclasses.replace(fam, build=build), (12, 16))
 
 
 def test_pendant_increment_floor():
