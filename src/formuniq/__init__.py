@@ -53,7 +53,7 @@ from .criteria import (
     stochastic_incompleteness_verdict,
     transience_verdict,
 )
-from .families import Family, SeqSpec, Truncation, gallery, gallery_names
+from .families import Family, Truncation, gallery, gallery_names
 from .capacity import (
     CapacityEstimate,
     boundary_capacity_estimate,
@@ -91,7 +91,6 @@ __all__ = [
     "PreconditionError",
     "PropertyReport",
     "RadialProfile",
-    "SeqSpec",
     "SeriesKind",
     "SphereDecomposition",
     "StructuralError",

@@ -141,26 +141,23 @@ def cutoff_function(
     y_set: Sequence[int],
     x0: int,
     r: float,
-    lengths: EdgeLengths | None = None,
 ) -> np.ndarray:
     """Metric cutoff eta_r(x) = ((2r - d_Y(x, x0)) / r)_+ ^ 1 (capped at 1).
 
-    d_Y is the sigma path metric using only edges inside ``y_set``
-    (any form :func:`~formuniq.graph.vertex_mask` accepts); vertices
-    outside (or unreachable inside) Y get 0.  For a strongly
-    intrinsic sigma with Y the whole vertex set, the cutoff satisfies
-    sum_y b(x,y)(eta(x) - eta(y))^2 <= m(x)/r^2 at every vertex; for a
-    proper subset the bound is guaranteed at vertices all of whose
-    neighbors lie in Y.
+    d_Y is the path metric of :func:`degree_path_lengths` using only
+    edges inside ``y_set`` (any form :func:`~formuniq.graph.vertex_mask`
+    accepts); vertices outside (or unreachable inside) Y get 0.  That
+    metric is strongly intrinsic, so with Y the whole vertex set the
+    cutoff satisfies sum_y b(x,y)(eta(x) - eta(y))^2 <= m(x)/r^2 at
+    every vertex; for a proper subset the bound is guaranteed at
+    vertices all of whose neighbors lie in Y.
     """
     if r <= 0:
         raise ValueError("cutoff radius must be positive")
     inside = vertex_mask(g.vertex_count, y_set, "cutoff region references an unknown vertex")
     if x0 not in np.flatnonzero(inside):
         raise PreconditionError(f"center vertex {x0} is not in the cutoff region")
-    if lengths is None:
-        lengths = degree_path_lengths(g)
-    mat = length_matrix(g, lengths)
+    mat = length_matrix(g, degree_path_lengths(g))
     # keep only the edges with both ends in Y
     rows = np.repeat(np.arange(g.vertex_count), np.diff(mat.indptr))
     mat.data[~(inside[rows] & inside[mat.indices])] = 0.0

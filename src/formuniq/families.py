@@ -3,8 +3,7 @@
 Every family packages three mutually consistent views of one infinite
 graph:
 
-* closed-form per-radius sequences (:class:`~formuniq.series.PowerGeomTail`,
-  also named ``SeqSpec``),
+* closed-form per-radius sequences (:class:`~formuniq.series.PowerGeomTail`),
 * an exact :class:`RadialProfile` (when the graph is weakly spherically
   symmetric about its root) or per-end profiles,
 * finite truncations as :class:`WeightedGraph` objects, with their
@@ -19,7 +18,7 @@ consumed by the decomposition and instability machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable, Iterator, Mapping
 
 import numpy as np
@@ -29,7 +28,6 @@ from .graph import WeightedGraph
 from .series import (
     PowerGeomTail,
     RadialProfile,
-    SeqSpec,
     ZERO_TAIL,
     tail_add,
     tail_bounded_below,
@@ -51,33 +49,37 @@ DEFAULT_PREFIX = 320
 # closed-form sequences
 # ---------------------------------------------------------------------------
 
+#: PowerGeomTail under its older name, the one perfbench/workloads.py
+#: builds its sequences with
+SeqSpec = PowerGeomTail
 
-def const(v: float) -> SeqSpec:
-    return SeqSpec(coeff=float(v))
+
+def const(v: float) -> PowerGeomTail:
+    return PowerGeomTail(coeff=float(v))
 
 
-def linear(coeff: float = 1.0) -> SeqSpec:
+def linear(coeff: float = 1.0) -> PowerGeomTail:
     """a(r) = coeff * (r+1)."""
-    return SeqSpec(coeff=coeff, power=1.0)
+    return PowerGeomTail(coeff=coeff, power=1.0)
 
 
-def power_seq(p: float, coeff: float = 1.0) -> SeqSpec:
+def power_seq(p: float, coeff: float = 1.0) -> PowerGeomTail:
     """a(r) = coeff * (r+1)^p."""
-    return SeqSpec(coeff=coeff, power=float(p))
+    return PowerGeomTail(coeff=coeff, power=float(p))
 
 
-def geometric(ratio: float, coeff: float = 1.0) -> SeqSpec:
+def geometric(ratio: float, coeff: float = 1.0) -> PowerGeomTail:
     """a(r) = coeff * ratio^r."""
-    return SeqSpec(coeff=coeff, ratio=float(ratio))
+    return PowerGeomTail(coeff=coeff, ratio=float(ratio))
 
 
-def as_seq(spec: SeqSpec | float | int) -> SeqSpec:
-    if isinstance(spec, SeqSpec):
+def as_seq(spec: PowerGeomTail | float | int) -> PowerGeomTail:
+    if isinstance(spec, PowerGeomTail):
         return spec
     return const(float(spec))
 
 
-def _checked_values(seq: SeqSpec, n: int, label: str, *, positive: bool) -> np.ndarray:
+def _checked_values(seq: PowerGeomTail, n: int, label: str, *, positive: bool) -> np.ndarray:
     vals = seq.values(np.arange(n))
     if not np.all(np.isfinite(vals)):
         raise StructuralError(
@@ -95,7 +97,7 @@ def _checked_values(seq: SeqSpec, n: int, label: str, *, positive: bool) -> np.n
     return vals
 
 
-def _values(seq: SeqSpec, k: np.ndarray) -> np.ndarray:
+def _values(seq: PowerGeomTail, k: np.ndarray) -> np.ndarray:
     """``seq`` at the layers ``k``; a closed-form value past the float range
     (inf, or 0 from a positive coefficient) is a StructuralError."""
     vals = seq.values(k)
@@ -198,20 +200,19 @@ class Family:
     end_profiles: tuple[RadialProfile, ...] = ()
     x1_profile: RadialProfile | None = None
     x1_role: str = ""
-    params: Mapping[str, SeqSpec] = field(default_factory=dict)
     crossing_degree: Callable[[], tuple[tuple[str, PowerGeomTail | None], ...]] | None = None
-    replay: Callable[[], tuple[str, str, SeqSpec, Iterator[tuple[str, bool | None]]]] | None = None
+    replay: Callable[[], tuple[str, str, PowerGeomTail, Iterator[tuple[str, bool | None]]]] | None = None
 
-    def __repr__(self) -> str:  # params are noisy; keep repr scannable
+    def __repr__(self) -> str:  # closures and profiles are noisy; keep repr scannable
         return f"Family({self.name!r}, kind={self.kind!r})"
 
 
-def _ratio(num: SeqSpec, den: SeqSpec) -> PowerGeomTail | None:
+def _ratio(num: PowerGeomTail, den: PowerGeomTail) -> PowerGeomTail | None:
     """Class of ``num / den``."""
     return tail_mul(num.tail_class(), tail_reciprocal(den.tail_class()))
 
 
-def _pendant_degrees(cm: SeqSpec, vb: SeqSpec, pm: SeqSpec) -> tuple:
+def _pendant_degrees(cm: PowerGeomTail, vb: PowerGeomTail, pm: PowerGeomTail) -> tuple:
     """The crossing degrees of the chain and pendant vertices of a pendant
     or star chain, split along the chain."""
     return (
@@ -220,14 +221,17 @@ def _pendant_degrees(cm: SeqSpec, vb: SeqSpec, pm: SeqSpec) -> tuple:
     )
 
 
-def _chain_hypotheses(b: SeqSpec, m: SeqSpec, what: str) -> Iterator[tuple[str, bool | None]]:
+def _chain_hypotheses(
+    b: PowerGeomTail, m: PowerGeomTail, what: str
+) -> Iterator[tuple[str, bool | None]]:
     """A rail that is a chain failing form uniqueness on its own."""
     yield f"{what}: total measure finite", tail_converges(m.tail_class())
     yield f"{what}: summable resistance", tail_converges(tail_reciprocal(b.tail_class()))
 
 
 def _chain_profile(
-    b: SeqSpec, m: SeqSpec, c: SeqSpec, prefix_len: int, name: str, shift: int = 0
+    b: PowerGeomTail, m: PowerGeomTail, c: PowerGeomTail,
+    prefix_len: int, name: str, shift: int = 0,
 ) -> RadialProfile:
     """Birth–death profile for sequences read starting at index ``shift``."""
     n = prefix_len
@@ -250,9 +254,9 @@ def _chain_profile(
 
 
 def birth_death(
-    b: SeqSpec | float,
-    m: SeqSpec | float,
-    c: SeqSpec | float = 0.0,
+    b: PowerGeomTail | float,
+    m: PowerGeomTail | float,
+    c: PowerGeomTail | float = 0.0,
     *,
     name: str = "birth_death",
     prefix_len: int = DEFAULT_PREFIX,
@@ -274,12 +278,11 @@ def birth_death(
         kind="chain",
         build=build,
         profile=profile,
-        params={"b": b, "m": m, "c": c},
     )
 
 
 def wss_tree(
-    k: SeqSpec | int,
+    k: PowerGeomTail | int,
     *,
     name: str = "wss_tree",
     prefix_len: int = DEFAULT_PREFIX,
@@ -338,14 +341,12 @@ def wss_tree(
             raise StructuralError(f"{too_big}: not enough memory to build it") from None
         return Truncation(g, 0, depth, rails, layer)
 
-    return Family(
-        name=name, kind="tree", build=build, profile=profile, params={"k": k}
-    )
+    return Family(name=name, kind="tree", build=build, profile=profile)
 
 
 def anti_tree(
-    s: SeqSpec | int,
-    m_vertex: SeqSpec | float = 1.0,
+    s: PowerGeomTail | int,
+    m_vertex: PowerGeomTail | float = 1.0,
     *,
     name: str = "anti_tree",
     prefix_len: int = DEFAULT_PREFIX,
@@ -396,15 +397,14 @@ def anti_tree(
         kind="anti_tree",
         build=build,
         profile=profile,
-        params={"s": s, "m_vertex": mv},
     )
 
 
 def bilateral_chain(
-    pos_b: SeqSpec | float,
-    pos_m: SeqSpec | float,
-    neg_b: SeqSpec | float,
-    neg_m: SeqSpec | float,
+    pos_b: PowerGeomTail | float,
+    pos_m: PowerGeomTail | float,
+    neg_b: PowerGeomTail | float,
+    neg_m: PowerGeomTail | float,
     *,
     name: str = "bilateral_chain",
     prefix_len: int = DEFAULT_PREFIX,
@@ -448,16 +448,15 @@ def bilateral_chain(
         build=build,
         end_profiles=ends,
         x1_role="origin",
-        params={"pos_b": pb, "pos_m": pm, "neg_b": nb, "neg_m": nm},
         crossing_degree=lambda: (),  # X1 = {origin} meets finitely many edges
     )
 
 
 def pendant_chain(
-    chain_b: SeqSpec | float,
-    chain_m: SeqSpec | float,
-    vertical_b: SeqSpec | float,
-    pendant_m: SeqSpec | float,
+    chain_b: PowerGeomTail | float,
+    chain_m: PowerGeomTail | float,
+    vertical_b: PowerGeomTail | float,
+    pendant_m: PowerGeomTail | float,
     *,
     name: str = "pendant_chain",
     prefix_len: int = DEFAULT_PREFIX,
@@ -497,19 +496,18 @@ def pendant_chain(
         build=build,
         x1_profile=x1_profile,
         x1_role="chain",
-        params={"chain_b": cb, "chain_m": cm, "vertical_b": vb, "pendant_m": pm},
         crossing_degree=lambda: _pendant_degrees(cm, vb, pm),
         replay=lambda: ("chain", "pendant", vb, hypotheses()),
     )
 
 
 def star_chain(
-    chain_b: SeqSpec | float,
-    chain_m: SeqSpec | float,
-    vertical_b: SeqSpec | float,
-    pendant_m: SeqSpec | float,
-    hub_b: SeqSpec | float,
-    hub_m: SeqSpec | float = 1.0,
+    chain_b: PowerGeomTail | float,
+    chain_m: PowerGeomTail | float,
+    vertical_b: PowerGeomTail | float,
+    pendant_m: PowerGeomTail | float,
+    hub_b: PowerGeomTail | float,
+    hub_m: PowerGeomTail | float = 1.0,
     *,
     name: str = "star_chain",
     prefix_len: int = DEFAULT_PREFIX,
@@ -554,28 +552,20 @@ def star_chain(
         build=build,
         x1_profile=x1_profile,
         x1_role="chain",
-        params={
-            "chain_b": cb,
-            "chain_m": cm,
-            "vertical_b": vb,
-            "pendant_m": pm,
-            "hub_b": hb,
-            "hub_m": hm,
-        },
         crossing_degree=lambda: _pendant_degrees(cm, vb, pm),
         replay=lambda: ("chain", "pendant", vb, hypotheses()),
     )
 
 
 def double_ladder(
-    x_b: SeqSpec | float,
-    x_m: SeqSpec | float,
-    y_b: SeqSpec | float,
-    y_m: SeqSpec | float,
-    z_b: SeqSpec | float,
-    z_m: SeqSpec | float,
-    xy_b: SeqSpec | float,
-    yz_b: SeqSpec | float,
+    x_b: PowerGeomTail | float,
+    x_m: PowerGeomTail | float,
+    y_b: PowerGeomTail | float,
+    y_m: PowerGeomTail | float,
+    z_b: PowerGeomTail | float,
+    z_m: PowerGeomTail | float,
+    xy_b: PowerGeomTail | float,
+    yz_b: PowerGeomTail | float,
     *,
     name: str = "double_ladder",
     prefix_len: int = DEFAULT_PREFIX,
@@ -622,10 +612,6 @@ def double_ladder(
         end_profiles=ends,
         x1_profile=x1_profile,
         x1_role="y",
-        params={
-            "x_b": xb, "x_m": xm, "y_b": yb, "y_m": ym,
-            "z_b": zb, "z_m": zm, "xy_b": rxy, "yz_b": ryz,
-        },
         crossing_degree=lambda: (
             ("Deg_b(x_k) = xy_b/x_m", _ratio(rxy, xm)),
             ("Deg_b(z_k) = yz_b/z_m", _ratio(ryz, zm)),

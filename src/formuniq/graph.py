@@ -225,14 +225,6 @@ class WeightedGraph:
     def edge_count(self) -> int:
         return len(self.edge_w)
 
-    def neighbors(self, x: int) -> np.ndarray:
-        row = self.adjacency.indptr
-        return self.adjacency.indices[row[x] : row[x + 1]]
-
-    def neighbor_weights(self, x: int) -> np.ndarray:
-        row = self.adjacency.indptr
-        return self.adjacency.data[row[x] : row[x + 1]]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"WeightedGraph(n={self.vertex_count}, edges={self.edge_count}, "
@@ -266,13 +258,6 @@ def vertex_mask(n: int, ids: Iterable | np.ndarray, unknown: str) -> np.ndarray:
     return mask
 
 
-def _check_vertex(g: WeightedGraph, x: int) -> int:
-    x = int(x)
-    if not 0 <= x < g.vertex_count:
-        raise ValueError(f"vertex {x} out of range [0, {g.vertex_count})")
-    return x
-
-
 def _as_function(g: WeightedGraph, f: Sequence[float]) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.shape != (g.vertex_count,):
@@ -290,30 +275,11 @@ def laplacian(g: WeightedGraph, f: Sequence[float]) -> np.ndarray:
     return (row_sums * f - weighted_sum + g.killing * f) / g.measure
 
 
-def apply_laplacian(g: WeightedGraph, f: Sequence[float], x: int) -> float:
-    """Value of the Laplacian of ``f`` at the single vertex ``x``."""
-    x = _check_vertex(g, x)
-    f = _as_function(g, f)
-    nbrs = g.neighbors(x)
-    w = g.neighbor_weights(x)
-    acc = float(np.dot(w, f[x] - f[nbrs])) + g.killing[x] * f[x]
-    return acc / g.measure[x]
-
-
 def energy(g: WeightedGraph, f: Sequence[float]) -> float:
     """Quadratic energy Q(f): edge part plus killing part."""
     f = _as_function(g, f)
     diffs = f[g.edge_u] - f[g.edge_v]
     return float(np.dot(g.edge_w, diffs * diffs) + np.dot(g.killing, f * f))
-
-
-def energy_bilinear(g: WeightedGraph, f: Sequence[float], h: Sequence[float]) -> float:
-    """Polarised energy Q(f, h); Q(f, f) equals :func:`energy`."""
-    f = _as_function(g, f)
-    h = _as_function(g, h)
-    df = f[g.edge_u] - f[g.edge_v]
-    dh = h[g.edge_u] - h[g.edge_v]
-    return float(np.dot(g.edge_w, df * dh) + np.dot(g.killing, f * h))
 
 
 def form_norm_sq(g: WeightedGraph, f: Sequence[float]) -> float:
@@ -330,12 +296,6 @@ def lp_norm(g: WeightedGraph, f: Sequence[float], p: float) -> float:
     if p <= 0:
         raise ValueError("p must be positive or inf")
     return float(np.dot(np.abs(f) ** p, g.measure) ** (1.0 / p))
-
-
-def weighted_degree(g: WeightedGraph, x: int) -> float:
-    """Deg(x) = (sum of incident edge weights + killing) / measure."""
-    x = _check_vertex(g, x)
-    return float((g.neighbor_weights(x).sum() + g.killing[x]) / g.measure[x])
 
 
 def degrees(g: WeightedGraph) -> np.ndarray:

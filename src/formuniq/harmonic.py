@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .errors import StructuralError
-from .graph import WeightedGraph, _as_function, laplacian, vertex_mask
+from .graph import WeightedGraph, vertex_mask
 from .series import (
     RadialProfile,
     SeriesKind,
@@ -259,20 +259,6 @@ def truncated_dirichlet_solve(
     u[root] = value
     u[np.arange(n) != root] = sol
     return u
-
-
-def harmonic_residual(
-    g: WeightedGraph,
-    u: np.ndarray,
-    alpha: float,
-    vertices: np.ndarray | list[int] | None = None,
-) -> float:
-    """Sup norm of ``(L + alpha) u`` over the given vertices (default all)."""
-    u = _as_function(g, u)
-    resid = laplacian(g, u) + alpha * u
-    if vertices is not None:
-        resid = resid[np.asarray(vertices, dtype=np.int64)]
-    return float(np.max(np.abs(resid))) if len(resid) else 0.0
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,6 @@ class PowerGeomTail:
         return f"{self.coeff:.6g}*(r+1)^{self.power:.6g}*{self.ratio:.6g}^r"
 
 
-# the per-radius sequences of the families are the same closed form
-SeqSpec = PowerGeomTail
-
-
 @dataclass(frozen=True)
 class CustomTail:
     """Opaque tail: values are unknown beyond the prefix.

@@ -15,6 +15,7 @@ of its split, a replay's rails and hypotheses) is what it declares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError, StructuralError
-from .capacity import CapacityEstimate, profile_boundary_capacity
+from .capacity import CapacityEstimate, _check_depths, profile_boundary_capacity
 from .families import Family, Truncation
 from .graph import WeightedGraph, vertex_mask
 from .harmonic import truncated_dirichlet_solve
@@ -65,12 +66,6 @@ class Decomposition:
     @property
     def crossing_weight(self) -> float:
         return float(self.graph.edge_w[self.edge_region == EDGE_CROSS].sum())
-
-    def boundary_vertices(self) -> np.ndarray:
-        """The interface X3: endpoints of crossing edges, sorted."""
-        cross = self.edge_region == EDGE_CROSS
-        ids = np.union1d(self.graph.edge_u[cross], self.graph.edge_v[cross])
-        return ids.astype(int)
 
 
 def decompose(g: WeightedGraph, x1: Sequence[int]) -> Decomposition:
@@ -131,14 +126,6 @@ def energy_parts(dec: Decomposition, f: np.ndarray) -> EnergySplit:
     return EnergySplit(q1, q2, qb)
 
 
-def norm_parts(dec: Decomposition, f: np.ndarray) -> tuple[float, float]:
-    """(||f|X1||^2, ||f|X2||^2); their sum is ||f||^2 exactly."""
-    g = dec.graph
-    f = np.asarray(f, dtype=float)
-    weighted = g.measure * f**2
-    return float(weighted[dec.x1].sum()), float(weighted[dec.x2].sum())
-
-
 # ---------------------------------------------------------------------------
 # boundary degree
 # ---------------------------------------------------------------------------
@@ -162,7 +149,12 @@ class BoundaryDegreeReport:
 def boundary_degree_bounded(
     dec: Decomposition, bound: float | None = None
 ) -> BoundaryDegreeReport:
-    """Max of Deg_b over a finite decomposition, tested against ``bound``."""
+    """Max of Deg_b over a finite decomposition, tested against ``bound``.
+
+    A non-finite ``bound`` certifies nothing and raises ``ValueError``.
+    """
+    if bound is not None and not math.isfinite(bound):
+        raise ValueError(f"crossing-degree bound must be finite, got {bound!r}")
     if not len(dec.deg_boundary) or dec.deg_boundary.max() == 0.0:
         return BoundaryDegreeReport(0.0, -1, True, "no crossing edges")
     worst = int(np.argmax(dec.deg_boundary))
@@ -476,7 +468,8 @@ def analyze_instability_example(
         if holds is not True:
             raise PreconditionError(f"hypothesis not satisfied: {wording}")
         hypotheses.append(wording)
-    if sorted(depths) != list(depths) or len(depths) < 2:
+    _check_depths(depths)
+    if len(depths) < 2:
         raise ValueError("depths must be increasing, at least two")
     floor_val = 1e-6 if floor is None else floor  # u(anchor) = 1 by anchoring
 

@@ -27,7 +27,6 @@ from .graph import (
     WeightedGraph,
     _as_function,
     _within_tol,
-    laplacian,
     require_connected_to,
     vertex_mask,
 )
@@ -60,9 +59,6 @@ class SphereDecomposition:
     def radius(self) -> int:
         """Largest sphere index."""
         return len(self.spheres) - 1
-
-    def sphere(self, r: int) -> np.ndarray:
-        return self.spheres[r]
 
 
 def _ordered_sums(keys: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
@@ -151,58 +147,6 @@ def average(g: WeightedGraph, dec: SphereDecomposition, f: Sequence[float]) -> n
     return out
 
 
-def radial_values(
-    g: WeightedGraph, dec: SphereDecomposition, f: Sequence[float]
-) -> np.ndarray:
-    """Per-radius measure-weighted means of ``f`` (length radius+1)."""
-    f = _as_function(g, f)
-    return np.array(
-        [float(np.dot(f[s], g.measure[s])) / m for s, m in zip(dec.spheres, dec.sphere_measure)]
-    )
-
-
-def lift_radial(dec: SphereDecomposition, values: Sequence[float]) -> np.ndarray:
-    """Expand one value per radius into a vertex function constant on spheres."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (dec.radius + 1,):
-        raise ValueError(
-            f"expected {dec.radius + 1} radial values, got {values.shape}"
-        )
-    out = np.empty(len(dec.radius_of))
-    for r, s in enumerate(dec.spheres):
-        out[s] = values[r]
-    return out
-
-
-def radial_laplacian(
-    dec: SphereDecomposition, values: Sequence[float]
-) -> np.ndarray:
-    """Laplacian of a sphere-constant function, one value per radius.
-
-    Valid when the graph is weakly spherically symmetric about the
-    decomposition's root:
-
-        (L f)(r) m(S_r) = dB(r) (f(r) - f(r+1))
-                        + dB(r-1) (f(r) - f(r-1)) + c(S_r) f(r).
-
-    For the outermost sphere of a finite graph ``dB(R) = 0`` and the
-    outward term vanishes.
-    """
-    v = np.asarray(values, dtype=float)
-    R = dec.radius
-    if v.shape != (R + 1,):
-        raise ValueError(f"expected {R + 1} radial values, got {v.shape}")
-    out = np.zeros(R + 1)
-    for r in range(R + 1):
-        acc = dec.sphere_killing[r] * v[r]
-        if r < R:
-            acc += dec.boundary[r] * (v[r] - v[r + 1])
-        if r > 0:
-            acc += dec.boundary[r - 1] * (v[r] - v[r - 1])
-        out[r] = acc / dec.sphere_measure[r]
-    return out
-
-
 @dataclass(frozen=True)
 class SymmetryWitness:
     """A concrete violation of weak spherical symmetry."""
@@ -265,15 +209,3 @@ def is_weakly_spherically_symmetric(
     return SymmetryReport(
         False, SymmetryWitness(r, a, b, name, float(values[a]), float(values[b]))
     )
-
-
-def commutation_residual(
-    g: WeightedGraph, dec: SphereDecomposition, f: Sequence[float]
-) -> float:
-    """Sup norm of L(Af) - A(Lf); zero exactly for weakly spherically
-    symmetric graphs."""
-    f = _as_function(g, f)
-    avg = average(g, dec, f)
-    lhs = laplacian(g, avg)
-    rhs = average(g, dec, laplacian(g, f))
-    return float(np.max(np.abs(lhs - rhs)))

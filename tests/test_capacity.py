@@ -28,7 +28,7 @@ from formuniq.capacity import (
     shortest_paths,
 )
 from formuniq.cli import OK, main
-from formuniq.families import SeqSpec, birth_death
+from formuniq.families import birth_death
 from formuniq.graph import laplacian
 from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, tail_sum_exact
 
@@ -376,7 +376,7 @@ def mp_capacity(p, depth):
 
 seqs = st.tuples(
     st.floats(1e-3, 1e3), st.floats(-4.0, 4.0), st.floats(0.25, 4.0)
-).map(lambda t: SeqSpec(*t))
+).map(lambda t: PowerGeomTail(*t))
 
 
 @settings(max_examples=200, deadline=None)

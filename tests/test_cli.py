@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from formuniq import WeightedGraph, gallery, load_profile, save_graph, save_profile
 from formuniq import cli
 from formuniq.cli import INCONCLUSIVE, INPUT_ERROR, OK, build_parser, main
-from formuniq.families import WSS_GALLERY, SeqSpec, birth_death
+from formuniq.families import WSS_GALLERY, birth_death
 from formuniq.graph import parse_graph_text
 from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, format_profile_text
 
@@ -116,7 +116,7 @@ def all_partial_sums(payload):
 
 def test_analyze_overflowing_tail_exits_cleanly():
     code, payload = analyze_json(
-        chain_text(SeqSpec(2.0, 3.0, 20.0), SeqSpec(1.0, -2.0, 0.05))
+        chain_text(PowerGeomTail(2.0, 3.0, 20.0), PowerGeomTail(1.0, -2.0, 0.05))
     )
     assert code == OK
     assert payload["form_uniqueness"]["state"] == "fails"
@@ -135,7 +135,7 @@ def test_analyze_overflowing_tail_exits_cleanly():
 def test_analyze_edge_grammar_gives_documented_exits(tails):
     (cb, pb, rb), (cm, pm, rm) = tails
     code, payload = analyze_json(
-        chain_text(SeqSpec(10.0**cb, pb, rb), SeqSpec(10.0**cm, pm, rm))
+        chain_text(PowerGeomTail(10.0**cb, pb, rb), PowerGeomTail(10.0**cm, pm, rm))
     )
     assert code in (OK, INCONCLUSIVE)
     assert payload["consistency_violations"] == []
@@ -222,7 +222,7 @@ def test_the_whole_profile_grammar_gives_documented_exits(data):
 
 def test_analyze_divergent_killing_is_consistent():
     code, payload = analyze_json(
-        chain_text(SeqSpec(1.0, 0.0, 1.5), SeqSpec(1.0, 0.0, 0.6), SeqSpec(1.0, 0.0, 1.8))
+        chain_text(PowerGeomTail(1.0, 0.0, 1.5), PowerGeomTail(1.0, 0.0, 0.6), PowerGeomTail(1.0, 0.0, 1.8))
     )
     assert code == OK
     assert payload["consistency_violations"] == []
@@ -472,7 +472,7 @@ def test_capacity_depths_out_of_order_are_input_errors(capsys, argv):
     ],
 )
 def test_analyze_refuses_non_finite_tail_numbers(capsys, tmp_path, tail, message):
-    text = chain_text(SeqSpec(1.0, 0.0, 2.0), SeqSpec(1.0, 0.0, 0.5))
+    text = chain_text(PowerGeomTail(1.0, 0.0, 2.0), PowerGeomTail(1.0, 0.0, 0.5))
     lines = text.splitlines()
     lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("boundary = C="))
     lines[lineno - 1] = f"boundary = {tail}"
@@ -653,6 +653,16 @@ def test_decompose_with_bound(glued_graph_file, capsys):
     )
     assert code == OK
     assert "bounded" in out
+
+
+@pytest.mark.parametrize("bound", ["inf", "nan"])
+def test_decompose_refuses_a_non_finite_bound(glued_graph_file, capsys, bound):
+    code, out, err = run(
+        capsys,
+        "decompose", "--graph", glued_graph_file, "--x1", "0,1,2", "--bound", bound,
+    )
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err == f"error: crossing-degree bound must be finite, got {bound}\n"
 
 
 def test_decompose_json_from_stdin(glued_graph_file, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from formuniq.criteria import (
 from formuniq.errors import PreconditionError
 from formuniq.families import (
     WSS_GALLERY,
-    SeqSpec,
     birth_death,
     gallery,
     geometric,
@@ -182,7 +181,7 @@ def random_chain_profiles(n, seed=2718):
     rng = np.random.default_rng(seed)
 
     def seq():
-        return SeqSpec(
+        return PowerGeomTail(
             coeff=float(rng.uniform(0.3, 3.0)),
             power=float(rng.uniform(-2.0, 2.0)),
             ratio=float(rng.uniform(0.55, 1.8)),

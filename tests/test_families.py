@@ -14,7 +14,6 @@ import pytest
 
 from formuniq import PreconditionError, StructuralError, gallery, gallery_names
 from formuniq.families import (
-    SeqSpec,
     anti_tree,
     as_seq,
     bilateral_chain,
@@ -29,7 +28,7 @@ from formuniq.families import (
     wss_tree,
 )
 from formuniq.graph import WeightedGraph
-from formuniq.series import parse_seq, quotient_graph
+from formuniq.series import PowerGeomTail, parse_seq, quotient_graph
 from formuniq.symmetry import sphere_decomposition
 from scalar_reference import seq_at
 
@@ -40,17 +39,17 @@ from scalar_reference import seq_at
 
 
 def test_seqspec_closed_form():
-    s = SeqSpec(coeff=3.0, power=2.0, ratio=0.5)
+    s = PowerGeomTail(coeff=3.0, power=2.0, ratio=0.5)
     want = [3.0 * (r + 1) ** 2 * 0.5**r for r in range(10)]
     assert s.values(np.arange(10)).tolist() == pytest.approx(want)
     assert s.values(np.arange(6)).tolist() == [seq_at(s, r) for r in range(6)]
 
 
 def test_seqspec_overrides_and_tail_start():
-    s = SeqSpec(coeff=2.0, overrides=((0, 7.0), (3, 0.0)))
+    s = PowerGeomTail(coeff=2.0, overrides=((0, 7.0), (3, 0.0)))
     assert s.values(np.array([0, 3, 1])).tolist() == [7.0, 0.0, 2.0]
     assert s.tail_start == 4
-    assert SeqSpec().tail_start == 0
+    assert PowerGeomTail().tail_start == 0
     t = s.tail_class()
     assert (t.coeff, t.power, t.ratio, t.overrides) == (2.0, 0.0, 1.0, ())
     assert t.tail_class() is t
@@ -60,18 +59,18 @@ def test_seqspec_overrides_and_tail_start():
 def test_seqspec_is_zero():
     assert const(0.0).is_zero
     assert not const(1.0).is_zero
-    assert not SeqSpec(coeff=0.0, overrides=((2, 1.0),)).is_zero
-    assert SeqSpec(coeff=0.0, overrides=((2, 1.0),)).tail_class().is_zero
-    assert SeqSpec(coeff=0.0, overrides=((2, 0.0),)).is_zero
+    assert not PowerGeomTail(coeff=0.0, overrides=((2, 1.0),)).is_zero
+    assert PowerGeomTail(coeff=0.0, overrides=((2, 1.0),)).tail_class().is_zero
+    assert PowerGeomTail(coeff=0.0, overrides=((2, 0.0),)).is_zero
 
 
 def test_seqspec_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        SeqSpec(coeff=-1.0)
+        PowerGeomTail(coeff=-1.0)
     with pytest.raises(ValueError, match="positive"):
-        SeqSpec(ratio=0.0)
+        PowerGeomTail(ratio=0.0)
     with pytest.raises(ValueError, match="override index"):
-        SeqSpec(overrides=((-1, 2.0),))
+        PowerGeomTail(overrides=((-1, 2.0),))
 
 
 def test_helpers_agree_with_closed_forms():
@@ -88,9 +87,9 @@ def test_helpers_agree_with_closed_forms():
 
 
 def test_parse_seq_defaults():
-    assert parse_seq("2") == SeqSpec(coeff=2.0)
-    assert parse_seq("2, 1") == SeqSpec(coeff=2.0, power=1.0)
-    assert parse_seq("2,1,0.5") == SeqSpec(coeff=2.0, power=1.0, ratio=0.5)
+    assert parse_seq("2") == PowerGeomTail(coeff=2.0)
+    assert parse_seq("2, 1") == PowerGeomTail(coeff=2.0, power=1.0)
+    assert parse_seq("2,1,0.5") == PowerGeomTail(coeff=2.0, power=1.0, ratio=0.5)
 
 
 def test_parse_seq_rejects_garbage():
@@ -176,7 +175,7 @@ def test_wss_tree_rejects_fractional_branching():
 
 def test_wss_tree_sphere_counts_multiply():
     # branching 3,3,2,2,2,... via overrides
-    fam = wss_tree(SeqSpec(coeff=2.0, overrides=((0, 3.0), (1, 3.0))), prefix_len=24)
+    fam = wss_tree(PowerGeomTail(coeff=2.0, overrides=((0, 3.0), (1, 3.0))), prefix_len=24)
     p = fam.profile
     counts = p.values("count", 6).tolist()
     assert counts == [1, 3, 9, 18, 36, 72]
@@ -216,7 +215,7 @@ def test_sequence_overflow_is_reported():
     with pytest.raises(StructuralError, match="overflow"):
         birth_death(geometric(10.0), 1.0)
     # a zero sequence stays zero where its closed form would overflow
-    fam = birth_death(1.0, 1.0, SeqSpec(0.0, 0.0, 1e10))
+    fam = birth_death(1.0, 1.0, PowerGeomTail(0.0, 0.0, 1e10))
     assert fam.profile.killing_is_zero
 
 
@@ -273,7 +272,7 @@ def test_a_closed_form_past_the_float_range_names_its_layer(fam, form, layer):
 
 def test_an_override_is_not_a_closed_form_value():
     # an override of zero is the graph's to refuse, as any zero weight
-    fam = pendant_chain(1.0, 1.0, SeqSpec(1.0, overrides=((3, 0.0),)), 1.0)
+    fam = pendant_chain(1.0, 1.0, PowerGeomTail(1.0, overrides=((3, 0.0),)), 1.0)
     with pytest.raises(ValueError, match="non-positive weight 0.0") as exc:
         fam.build(5)
     assert not isinstance(exc.value, StructuralError)
@@ -290,7 +289,7 @@ def test_chain_truncations_read_the_profile_bit_for_bit():
     rng = np.random.default_rng(11)
     for _ in range(50):
         b, m, c = (
-            SeqSpec(10 ** rng.uniform(-3, 3), rng.uniform(-4, 4), rng.uniform(0.25, 4),
+            PowerGeomTail(10 ** rng.uniform(-3, 3), rng.uniform(-4, 4), rng.uniform(0.25, 4),
                     overrides=((int(rng.integers(8)), rng.uniform(0.5, 2)),))
             for _ in range(3)
         )
@@ -315,7 +314,7 @@ def test_truncation_agrees_with_profile(name):
         assert dec.boundary[r] == pytest.approx(boundary[r], rel=1e-12)
     for r in range(6):
         assert dec.sphere_measure[r] == pytest.approx(measure[r], rel=1e-12)
-        assert len(dec.sphere(r)) == int(count[r])
+        assert len(dec.spheres[r]) == int(count[r])
 
 
 # ---------------------------------------------------------------------------

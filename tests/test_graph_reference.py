@@ -25,7 +25,6 @@ from formuniq.families import (
     geometric,
     linear,
     pendant_chain,
-    SeqSpec,
     wss_tree,
 )
 from formuniq.graph import (
@@ -42,7 +41,7 @@ from formuniq.symmetry import (
     is_weakly_spherically_symmetric,
     sphere_decomposition,
 )
-from scalar_reference import profile_at, seq_at
+from scalar_reference import profile_at
 
 # ---------------------------------------------------------------------------
 # references
@@ -645,7 +644,7 @@ def test_decompose_lists_ends_as_the_component_scan(case, data):
 def test_decompose_lists_ends_on_random_cuts_of_a_tree():
     # X2 a random subset of the depth-10 binary tree: many components,
     # of every size, labelled from the adjacency slice as before
-    g = wss_tree(SeqSpec(2.0)).build(10).graph
+    g = wss_tree(PowerGeomTail(2.0)).build(10).graph
     rng = np.random.default_rng(14)
     for _ in range(50):
         x2 = rng.random(g.vertex_count) < rng.uniform(0.05, 0.95)
@@ -658,13 +657,14 @@ def test_decompose_lists_ends_on_random_cuts_of_a_tree():
     [
         (wss_tree(2), 6),
         (wss_tree(3), 4),
-        (wss_tree(SeqSpec(coeff=2.0, overrides=((0, 3.0), (1, 1.0))), prefix_len=24), 5),
+        (wss_tree(PowerGeomTail(coeff=2.0, overrides=((0, 3.0), (1, 1.0))), prefix_len=24), 5),
     ],
 )
 def test_tree_builder_matches_the_nested_loops(fam, depth):
     trunc = fam.build(depth)
-    kv = fam.params["k"].values(np.arange(depth))
     sizes = [int(profile_at(fam.profile, "count", r)) for r in range(depth + 1)]
+    # branching k(r) = dB(r) / |S_r|, whole numbers here
+    kv = [profile_at(fam.profile, "boundary", r) / sizes[r] for r in range(depth)]
     n = sum(sizes)
     assert_same_edges(trunc.graph, reference_edges(n, reference_tree_edges(kv, sizes)))
     assert list(trunc.rails) == ["sphere"] and trunc.rail("sphere").tolist() == list(range(n))
@@ -684,12 +684,13 @@ def test_tree_builder_matches_the_nested_loops(fam, depth):
 )
 def test_anti_tree_builder_matches_the_nested_loops(fam, depth):
     trunc = fam.build(depth)
-    sizes = [int(seq_at(fam.params["s"], r)) for r in range(depth + 1)]
+    sizes = [int(profile_at(fam.profile, "count", r)) for r in range(depth + 1)]
     n = sum(sizes)
     assert_same_edges(trunc.graph, reference_edges(n, reference_anti_tree_edges(sizes)))
-    mv = fam.params["m_vertex"]
+    # the vertex measure m(S_r) / |S_r|, exact for these sizes and measures
+    mv = [profile_at(fam.profile, "measure", r) / s for r, s in enumerate(sizes)]
     np.testing.assert_array_equal(
-        trunc.graph.measure, np.concatenate([np.full(s, seq_at(mv, r)) for r, s in enumerate(sizes)])
+        trunc.graph.measure, np.concatenate([np.full(s, mv[r]) for r, s in enumerate(sizes)])
     )
     assert list(trunc.rails) == ["sphere"] and trunc.rail("sphere").tolist() == list(range(n))
     assert trunc.layer.dtype == np.int64

@@ -33,7 +33,6 @@ from formuniq.capacity import radial_boundary_reach
 from formuniq.families import (
     GALLERY,
     WSS_GALLERY,
-    SeqSpec,
     Truncation,
     bilateral_chain,
     birth_death,
@@ -48,7 +47,7 @@ from formuniq.families import (
 )
 from formuniq.graph import WeightedGraph, form_norm_sq, format_graph_text, induced_subgraph, vertex_mask
 from formuniq.harmonic import _dirichlet_system, solve_symmetric_harmonic, truncated_dirichlet_solve
-from formuniq.series import quotient_graph
+from formuniq.series import PowerGeomTail, quotient_graph
 from formuniq.stability import _family_x1, decompose
 from formuniq.symmetry import sphere_decomposition
 from scalar_reference import profile_at
@@ -583,7 +582,7 @@ def test_rails_match_the_builders_arithmetic_on_constructed_families(name):
 
 seqs = st.tuples(
     st.floats(1e-3, 1e3), st.floats(-4.0, 4.0), st.floats(0.25, 4.0)
-).map(lambda t: SeqSpec(*t))
+).map(lambda t: PowerGeomTail(*t))
 
 
 def assert_profile_reads(p, depth, alpha):

@@ -21,7 +21,6 @@ from formuniq import series
 from formuniq.errors import GraphFormatError, PreconditionError, StructuralError
 from formuniq.families import (
     WSS_GALLERY,
-    SeqSpec,
     birth_death,
     gallery,
     geometric,
@@ -98,8 +97,10 @@ def test_tail_validation():
 
 
 def test_seqspec_is_the_tail_type():
-    assert formuniq.SeqSpec is formuniq.PowerGeomTail
-    assert SeqSpec(2.0, 1.0, 0.5) == PowerGeomTail(2.0, 1.0, 0.5)
+    # perfbench/workloads.py builds its sequences as families.SeqSpec
+    assert formuniq.families.SeqSpec is formuniq.PowerGeomTail
+    assert "SeqSpec" not in formuniq.__all__
+    assert all(hasattr(formuniq, name) for name in formuniq.__all__)
 
 
 def test_value_is_inf_past_the_float_range():
@@ -122,7 +123,7 @@ def test_values_fit_where_one_factor_leaves_the_float_range(power, ratio):
 
 
 def test_chain_whose_terms_fit_builds():
-    fam = birth_death(SeqSpec(1, 200, 0.01), 1.0)
+    fam = birth_death(PowerGeomTail(1, 200, 0.01), 1.0)
     b = fam.profile.boundary_prefix
     assert np.all(np.isfinite(b)) and 1e242 < b.max() < 1e243
     assert fam.build(319).graph.edge_w.tolist() == b[:319].tolist()
@@ -591,7 +592,7 @@ def test_series_terms_match_scalar_reference(kind):
     chains = [
         birth_death(geometric(1.5), geometric(0.6), geometric(0.3), prefix_len=48),
         birth_death(power_seq(2.0), power_seq(-0.5), 0.0, prefix_len=48),
-        birth_death(SeqSpec(0.7, 1.5, 0.9), SeqSpec(2.0, -1.0, 1.1), 0.0, prefix_len=48),
+        birth_death(PowerGeomTail(0.7, 1.5, 0.9), PowerGeomTail(2.0, -1.0, 1.1), 0.0, prefix_len=48),
     ]
     profiles = [gallery(name).profile for name in WSS_GALLERY] + [f.profile for f in chains]
     unit = truncation_profile("unit_chain", 6)
@@ -722,7 +723,7 @@ def random_chain_profile(rng, killing, edge=False):
             c, p, rho = 10.0 ** rng.uniform(-3, 3), rng.uniform(-6, 6), rng.uniform(0.05, 20)
         else:
             c, p, rho = rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(lo, hi)
-        return SeqSpec(float(c), float(p), float(rho))
+        return PowerGeomTail(float(c), float(p), float(rho))
 
     c = seq(0.5, 1.5) if killing else 0.0
     return birth_death(seq(0.55, 1.8), seq(0.55, 1.8), c, prefix_len=48).profile

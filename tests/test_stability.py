@@ -1,6 +1,7 @@
 """Decomposition, crossing-degree bounds, and gluing (in)stability."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from formuniq.stability import (
     EDGE_X1,
     EDGE_X2,
     family_boundary_degree,
-    norm_parts,
 )
 
 
@@ -77,7 +77,6 @@ def test_decompose_classifies_edges():
     assert region[(3, 4)] == EDGE_X2
     assert region[(1, 3)] == EDGE_CROSS and region[(2, 5)] == EDGE_CROSS
     assert dec.crossing_weight == pytest.approx(3.5)
-    np.testing.assert_array_equal(dec.boundary_vertices(), [1, 2, 3, 5])
 
 
 def test_decompose_boundary_degree_values():
@@ -120,7 +119,8 @@ def test_energy_and_norm_split_exactly():
         f = rng.standard_normal(g.vertex_count)
         split = energy_parts(dec, f)
         assert split.total == pytest.approx(energy(g, f), rel=1e-12, abs=1e-12)
-        n1, n2 = norm_parts(dec, f)
+        weighted = g.measure * f**2
+        n1, n2 = weighted[dec.x1].sum(), weighted[dec.x2].sum()
         assert n1 + n2 == pytest.approx(float(g.measure @ f**2), rel=1e-12)
 
 
@@ -159,6 +159,13 @@ def test_boundary_degree_explicit_bound():
     _, dec = glued_example()
     assert boundary_degree_bounded(dec, bound=3.0).bounded is True
     assert boundary_degree_bounded(dec, bound=2.0).bounded is False
+    # a non-finite bound certifies nothing, for the report or the verdict
+    holds = verdict(VerdictState.HOLDS)
+    for bound in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"bound must be finite, got {bound}"):
+            boundary_degree_bounded(dec, bound=bound)
+        with pytest.raises(ValueError, match="bound must be finite"):
+            stability_verdict(dec, holds, holds, bound=bound)
     rep = boundary_degree_bounded(dec)
     assert rep.bounded is None
     assert rep.max_value == pytest.approx(3.0)  # vertex 2
@@ -433,3 +440,5 @@ def test_instability_depth_validation():
         analyze_instability_example(fam, depths=(20, 10))
     with pytest.raises(ValueError, match="at least two"):
         analyze_instability_example(fam, depths=(20,))
+    with pytest.raises(ValueError, match="strictly increasing, got 20,20,40"):
+        analyze_instability_example(fam, depths=(20, 20, 40))
