@@ -7,6 +7,13 @@ consistency check.  CSV and JSON output use repr() floats, so identical
 inputs give byte-identical files on one numpy build and CPU (numpy's
 AVX-512 pow/exp/log round some values one ulp apart from its other loops).
 
+``--json`` output is one JSON document and a newline, as the standard
+library's encoder writes it with ``indent=2, sort_keys=True``: 2-space
+indent, sorted keys, non-ASCII characters as ``\\uXXXX`` escapes,
+finite floats as their ``repr``, and non-finite numbers as the strings
+``"inf"``, ``"-inf"`` and ``"nan"``.  It is the canonical form of its own
+parse on every CPU.
+
 Exit codes: 0 success / all verdicts decided, 2 bad input, 3 at least
 one verdict inconclusive.
 """
@@ -16,9 +23,9 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import capacity, criteria, families, graph, harmonic, series, stability
 
@@ -98,18 +105,65 @@ def _load_profile_arg(args) -> series.RadialProfile:
     raise ValueError("supply --profile FILE or --family NAME")
 
 
-def _jsonable(x):
-    if isinstance(x, float):
-        return x if math.isfinite(x) else repr(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _json_pieces(x, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``x`` at ``indent`` to ``out``, in the
+    bytes of the module docstring's contract.  Keys must be ``str``;
+    what the standard encoder refuses raises ``TypeError``."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        text = float.__repr__(x)
+        out.append(text if math.isfinite(x) else f'"{text}"')
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if set(map(type, x)) <= _NUMBER_TYPES:
+            # finite reprs hold no "n"; inf and nan fall through
+            body = sep.join(map(repr, x))
+            if "n" not in body:
+                out += ("[\n", inner, body, "\n", indent, "]")
+                return
+        out.append("[\n" + inner)
+        for i, item in enumerate(x):
+            if i:
+                out.append(sep)
+            _json_pieces(item, inner, out)
+        out += ("\n", indent, "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(x)):
+            if i:
+                out.append(sep)
+            out += (encode_basestring_ascii(key), ": ")
+            _json_pieces(x[key], inner, out)
+        out += ("\n", indent, "}")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _dump_json(payload) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    out: list[str] = []
+    _json_pieces(payload, "", out)
+    print("".join(out))
 
 
 def _verdict_dict(v: series.Verdict | None):
@@ -198,11 +252,11 @@ def _cmd_harmonic(args) -> int:
     if args.json:
         payload = {
             "alpha": sol.alpha,
-            "values": list(sol.values[:rows]),
-            "increments": list(sol.increments[:rows]),
-            "partial_l1": list(sol.partial_l1[:rows]),
-            "partial_l2": list(sol.partial_l2[:rows]),
-            "partial_energy": list(sol.partial_energy[:rows]),
+            "values": sol.values[:rows].tolist(),
+            "increments": sol.increments[:rows].tolist(),
+            "partial_l1": sol.partial_l1[:rows].tolist(),
+            "partial_l2": sol.partial_l2[:rows].tolist(),
+            "partial_energy": sol.partial_energy[:rows].tolist(),
             "membership": {k: _verdict_dict(v) for k, v in membership},
         }
         if note:
