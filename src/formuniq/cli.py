@@ -110,8 +110,9 @@ _NUMBER_TYPES = frozenset((int, float))
 
 def _json_pieces(x, indent: str, out: list[str]) -> None:
     """Append the JSON text of ``x`` at ``indent`` to ``out``, in the
-    bytes of the module docstring's contract.  Keys must be ``str``;
-    what the standard encoder refuses raises ``TypeError``."""
+    bytes of the module docstring's contract.  What the standard encoder
+    refuses raises ``TypeError``, and so does a key that is not ``str``,
+    which the standard encoder would coerce to a string."""
     if isinstance(x, str):
         out.append(encode_basestring_ascii(x))
     elif x is None:

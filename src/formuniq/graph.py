@@ -476,17 +476,14 @@ def _parse_lines(text: str) -> WeightedGraph:
 def _value_pieces(x: np.ndarray, end: str) -> np.ndarray:
     """``repr(v) + end`` for every value ``v`` of ``x``, as an object array.
 
-    Equal neighbours are found in one pass.  When there are none, each
-    value is written in turn; otherwise each distinct value is written
-    once, the values of the runs told apart by bit pattern, so ``-0.0``
-    and ``0.0`` keep their own text.
+    Each distinct value is written once: equal neighbours are found in
+    one pass, and the values of the runs are told apart by bit pattern,
+    so ``-0.0`` and ``0.0`` keep their own text.
     """
     if not len(x):
         return np.empty(0, dtype=object)
     bits = x.view(np.uint64)
     run = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    if len(run) == len(x):  # no value equals its neighbour
-        return np.array([f"{v!r}{end}" for v in x.tolist()], dtype=object)
     distinct, which = np.unique(bits[run], return_inverse=True)
     text = np.array([f"{v!r}{end}" for v in distinct.view(np.float64).tolist()], dtype=object)
     return np.repeat(text[which.reshape(-1)], np.diff(run, append=len(bits)))

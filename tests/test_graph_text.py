@@ -329,7 +329,7 @@ WRITER_CASES = {
         200, (np.arange(1, 200) * (0.1 + 0.2)).tolist(), (np.arange(1, 201) / 7).tolist(),
         (np.arange(200) * 1e-5).tolist(),
     ),
-    # values that repeat, but never next to each other: each written in turn
+    # values that repeat, but never next to each other
     "repeats apart": _path(100, [1.0, 2.0] * 49 + [1.0], [1.0, 2.0] * 50, [0.0, 0.5] * 50),
     "edgeless": WeightedGraph(5, [], [1.0, 0.5, 0.5, 1e16, 1e-5], [-0.0, 0.0, 0.0, 1e16, 1e-5]),
     "one vertex": WeightedGraph(1, [], [5e-324], [-0.0]),

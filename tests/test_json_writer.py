@@ -147,6 +147,17 @@ def json_commands():
         yield ["ends", "--family", name, "--capacity-depths", "8,16", "--json"]
 
 
+#: a family on which each command writes its output, so that no command's
+#: canonical-form check is vacuous on every family
+WRITES_ON = {
+    "analyze": "geometric_chain",
+    "check": "geometric_chain",
+    "harmonic": "geometric_chain",
+    "capacity": "geometric_chain",
+    "ends": "bilateral_mixed",
+}
+
+
 def assert_canonical(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -159,12 +170,9 @@ def assert_canonical(argv):
 
 @pytest.mark.parametrize("argv", list(json_commands()), ids=" ".join)
 def test_json_output_is_canonical(argv):
-    assert_canonical(argv)
-
-
-def test_every_json_command_writes_for_some_family():
-    written = {argv[0] for argv in json_commands() if assert_canonical(argv) in (OK, INCONCLUSIVE)}
-    assert written == {"analyze", "check", "harmonic", "capacity", "ends"}
+    code = assert_canonical(argv)
+    if WRITES_ON[argv[0]] == argv[2]:
+        assert code in (OK, INCONCLUSIVE)
 
 
 def test_decompose_json_output_is_canonical(tmp_path):
