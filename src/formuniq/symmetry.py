@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import StructuralError
 from .graph import (
@@ -67,18 +68,53 @@ def _ordered_sums(keys: np.ndarray, values: np.ndarray, length: int) -> np.ndarr
     ``np.bincount`` adds left to right; ``np.sum`` does so for fewer
     than eight terms and sums longer runs pairwise.  The two agree on
     nonnegative integer terms with a total below 2**53, so only the
-    other groups of eight or more terms are summed again by ``np.sum``.
+    other groups of eight or more terms are summed again by ``np.sum``;
+    when every term is an integer and every total below 2**53, no group
+    is even counted.
     """
     sums = np.bincount(keys, weights=values, minlength=length)
+    fraction = values != np.floor(values)
+    big = sums >= 2.0**53
+    if not (fraction.any() or big.any()):
+        return sums
     counts = np.bincount(keys, minlength=length)
-    inexact = np.bincount(keys[values != np.floor(values)], minlength=length) > 0
-    redo = np.flatnonzero((counts >= 8) & (inexact | (sums >= 2.0**53)))
+    inexact = np.bincount(keys[fraction], minlength=length) > 0
+    redo = np.flatnonzero((counts >= 8) & (inexact | big))
     if len(redo):
         grouped = values[np.argsort(keys, kind="stable")]
         ends = np.cumsum(counts)
         for k in redo:
             sums[k] = grouped[ends[k] - counts[k] : ends[k]].sum()
     return sums
+
+
+def _radii(g: WeightedGraph, roots: np.ndarray) -> np.ndarray:
+    """Distance of every vertex from the sorted root set ``roots``.
+
+    One breadth-first pass from a virtual vertex ``n`` whose row lists
+    the roots gives each vertex its parent; the radii then follow by
+    pointer doubling, in log2(depth) array passes.
+    """
+    n, adj = g.vertex_count, g.adjacency
+    idx = adj.indices.dtype
+    indptr = np.concatenate((adj.indptr, [adj.indptr[-1] + len(roots)]), dtype=idx)
+    indices = np.concatenate((adj.indices, roots), dtype=idx)
+    # the traversal reads only the pattern: every stored value is 1.0
+    pattern = sp.csr_matrix(
+        (np.broadcast_to(1.0, len(indices)), indices, indptr), shape=(n + 1, n + 1)
+    )
+    _, parent = breadth_first_order(pattern, n, directed=True, return_predecessors=True)
+    up = parent[:n].astype(np.int64)
+    if (up < 0).any():  # a vertex the traversal never reached
+        require_connected_to(g, roots)
+    # radius[x] is the distance from x up to up[x]; a root is its own parent
+    up[roots] = roots
+    radius = np.ones(n, dtype=np.int64)
+    radius[roots] = 0
+    while (hop := radius[up]).any():
+        radius += hop
+        up = up[up]
+    return radius
 
 
 def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecomposition:
@@ -93,32 +129,25 @@ def sphere_decomposition(g: WeightedGraph, root: Sequence[int]) -> SphereDecompo
     if not len(roots):
         raise StructuralError("root set is empty")
 
-    dist = dijkstra(g.adjacency, unweighted=True, min_only=True, indices=roots)
-    if np.isinf(dist).any():
-        require_connected_to(g, roots)
-    radius = dist.astype(np.int64)
+    radius = _radii(g, roots)
     sizes = np.bincount(radius)
     order = np.argsort(radius, kind="stable")
     bounds = np.cumsum(sizes).tolist()
     spheres = tuple(order[a:b] for a, b in zip([0] + bounds, bounds))
 
-    # each vertex x sums its terms in neighbour-id order: first the edges
-    # (y, x) with y < x, then the edges (x, y) with y > x
-    u, v, w = g.edge_u, g.edge_v, g.edge_w
-    step = radius[v] - radius[u]
-
-    def per_vertex(s: int) -> np.ndarray:
-        below, above = step == -s, step == s
-        keys = np.concatenate((v[below], u[above]))
-        return _ordered_sums(keys, np.concatenate((w[below], w[above])), n)
-
-    out = per_vertex(1)
+    # one key 3 x + 1 + r(y) - r(x) per adjacency entry (x, y): row x
+    # lists its neighbours by id, so each of the inward, intra-sphere and
+    # outward sums of x adds its terms in neighbour-id order
+    adj = g.adjacency
+    keys = np.repeat(3 * np.arange(n) + 1 - radius, np.diff(adj.indptr))
+    keys += radius[adj.indices]
+    inward, within, out = _ordered_sums(keys, adj.data, 3 * n).reshape(n, 3).T
     # a weight over a tiny measure may leave the float range: the ratio
     # is then inf, quietly (a deep quotient chain is still a valid graph)
     with np.errstate(over="ignore"):
         kplus = out / g.measure
-        kminus = per_vertex(-1) / g.measure
-        kzero = per_vertex(0) / g.measure
+        kminus = inward / g.measure
+        kzero = within / g.measure
         q = g.killing / g.measure
     boundary = np.bincount(radius, weights=out)  # left to right, by vertex id
     sphere_m = _ordered_sums(radius, g.measure, len(sizes))

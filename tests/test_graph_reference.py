@@ -476,11 +476,11 @@ def connected_graphs(draw):
     return WeightedGraph(n, edges, measure, killing), sorted(set(roots))
 
 
-@settings(max_examples=200, deadline=None)
-@given(connected_graphs())
-def test_sphere_decomposition_matches_the_bfs_loop(case):
-    g, roots = case
-    dec = sphere_decomposition(g, roots)
+def assert_same_spheres(g, root):
+    """The decomposition about ``root`` (any form ``vertex_mask``
+    accepts) against the loop about its sorted unique ids, bit for bit."""
+    roots = sorted({int(v) for v in root})
+    dec = sphere_decomposition(g, root)
     want = reference_spheres(g, roots)
     assert dec.root == tuple(roots)
     assert len(dec.spheres) == len(want["spheres"])
@@ -493,7 +493,78 @@ def test_sphere_decomposition_matches_the_bfs_loop(case):
     ):
         got, ref = getattr(dec, field), want[field]
         assert got.dtype == ref.dtype, field
-        np.testing.assert_array_equal(got, ref, err_msg=field)
+        assert got.tobytes() == ref.tobytes(), field
+    return dec
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+def test_sphere_decomposition_matches_the_bfs_loop(case):
+    assert_same_spheres(*case)
+
+
+def _path(n):
+    rng = np.random.default_rng(n)
+    edges = [(i, i + 1, float(w)) for i, w in enumerate(rng.uniform(0.1, 3.0, n - 1))]
+    return WeightedGraph(n, edges, rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 1.0, n))
+
+
+@pytest.mark.parametrize(
+    "make,root",
+    [
+        # radii up to 1999 take eleven doubling passes
+        (lambda: _path(2000), [0]),
+        (lambda: _path(2000), [1000]),
+        (lambda: _path(2000), [1999, 0]),
+        (lambda: wss_tree(2).build(14).graph, [0]),
+        (lambda: wss_tree(2).build(14).graph, [2, 0, 1]),
+        (lambda: anti_tree(linear()).build(60).graph, [0]),
+        (lambda: anti_tree(linear()).build(60).graph, [2, 0, 1]),
+        (lambda: WeightedGraph(1, [], [2.5], [0.5]), [0]),
+    ],
+    ids=["path-end", "path-middle", "path-both-ends", "bt14", "bt14-set", "anti60", "anti60-set", "one-vertex"],
+)
+def test_sphere_decomposition_of_deep_and_wide_graphs_matches_the_loop(make, root):
+    assert_same_spheres(make(), root)
+
+
+@pytest.mark.parametrize("name", gallery_names())
+@pytest.mark.parametrize("depth", [1, 2, 9])
+def test_sphere_decomposition_of_the_gallery_matches_the_loop(name, depth):
+    trunc = gallery(name).build(depth)
+    assert_same_spheres(trunc.graph, [trunc.root])
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        [7, 3, 7, 0, 3],
+        np.array([12, 5, 5, 40], dtype=np.int32),
+        np.array([12, 5, 5, 40], dtype=np.uint8),
+        (4.9, 4, 30),
+        range(55),
+    ],
+    ids=["unsorted-repeats", "int32", "uint8", "floats", "every-vertex"],
+)
+def test_sphere_decomposition_reads_root_sets_in_any_form(root):
+    g = anti_tree(linear()).build(9).graph
+    dec = assert_same_spheres(g, root)
+    if len(dec.root) == g.vertex_count:
+        assert dec.radius == 0 and dec.boundary.tolist() == [0.0]
+
+
+def test_sums_past_two_to_the_53_match_the_loop():
+    # vertex 0 adds 2**53 and then eight 1.0 weights outward: left to
+    # right that stays 2**53, np.sum gives 2**53 + 8; the nine measures
+    # of sphere 1 and the killing on it add up the same way, and the
+    # edge of weight inf keeps an infinite degree infinite
+    big = [2.0**53] + [1.0] * 8
+    edges = [(0, v, w) for v, w in zip(range(1, 10), big)] + [(1, 10, float("inf"))]
+    g = WeightedGraph(11, edges, [1.0] + big + [1.0], [0.0] + big + [0.0])
+    dec = assert_same_spheres(g, [0])
+    assert dec.kappa_plus[0] == dec.sphere_measure[1] == dec.sphere_killing[1] == 2.0**53 + 8
+    assert np.isinf(dec.kappa_plus[1]) and np.isinf(dec.boundary[1])
+    assert_same_spheres(g, [10])
 
 
 def test_sphere_sums_of_many_fractional_terms_match_the_loop():
