@@ -236,16 +236,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_harmonic(args) -> int:
     profile = _load_profile_arg(args)
-    depth, cut, b = args.depth, "", None
+    depth, cut = args.depth, ""
     if 0 < depth <= profile.value_depth("boundary"):
         # a closed-form boundary tail can underflow to 0.0: the recurrence
         # runs up to the first radius where it does
-        b = profile.values("boundary", depth)
-        low = next((r for r, w in enumerate(b.tolist()) if not w > 0), None)
+        b = profile.values("boundary", depth).tolist()
+        low = next((r for r, w in enumerate(b) if not w > 0), None)
         if low is not None:
-            depth, b = low, b[:low]
+            depth = low
             cut = f"layer boundary weight dB({low}) underflows to 0.0; solved to depth {low}"
-    sol = harmonic.solve_symmetric_harmonic(profile, args.alpha, args.u0, depth, boundary=b)
+    sol = harmonic.solve_symmetric_harmonic(profile, args.alpha, args.u0, depth)
     membership = harmonic.membership_report(profile, sol)
     rows = sol.finite_rows
     overflow = f"u leaves the float range at r={rows}" if rows <= sol.depth else ""

@@ -37,6 +37,7 @@ from .series import (
     SeriesKind,
     Verdict,
     VerdictState,
+    _evaluate,
     bundle_consistency,
     series_verdict,
     state_and,
@@ -57,9 +58,7 @@ def form_uniqueness_verdict(p: RadialProfile) -> Verdict:
     Uniqueness fails exactly when the graph has finite total mass and
     finite cumulative resistance; killing is allowed.
     """
-    return _form_uniqueness(
-        series_verdict(p, SeriesKind.TOTAL_MASS), series_verdict(p, SeriesKind.RESISTANCE)
-    )
+    return _form_uniqueness(*_evaluate(p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)).values())
 
 
 def _form_uniqueness(tm: Verdict, res: Verdict) -> Verdict:
@@ -124,9 +123,8 @@ def dirichlet_feller_verdict(p: RadialProfile) -> Verdict:
     diverges) while the complement-mass series converges.
     """
     _require_no_killing(p, "the Dirichlet Feller property")
-    return _dirichlet_feller(
-        series_verdict(p, SeriesKind.RESISTANCE), series_verdict(p, SeriesKind.FELLER_TAIL)
-    )
+    res_ft = _evaluate(p, (SeriesKind.RESISTANCE, SeriesKind.FELLER_TAIL))
+    return _dirichlet_feller(*res_ft.values())
 
 
 def _dirichlet_feller(res: Verdict, ft: Verdict) -> Verdict:

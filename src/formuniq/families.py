@@ -29,6 +29,8 @@ from .series import (
     PowerGeomTail,
     RadialProfile,
     ZERO_TAIL,
+    _CONSTANT,
+    _order,
     tail_add,
     tail_bounded_below,
     tail_converges,
@@ -294,7 +296,8 @@ def wss_tree(
     geometric tail model).
     """
     k = as_seq(k)
-    if k.power != 0 or k.ratio != 1:
+    # its shape decides: a zero k is constant only as C=0 p=0 rho=1
+    if _order(PowerGeomTail(1.0, k.power, k.ratio)) != _CONSTANT:
         raise PreconditionError(
             "branching numbers must be eventually constant (power=0, ratio=1)"
         )
@@ -522,7 +525,7 @@ def star_chain(
     cb, cm = as_seq(chain_b), as_seq(chain_m)
     vb, pm = as_seq(vertical_b), as_seq(pendant_m)
     hb, hm = as_seq(hub_b), as_seq(hub_m)
-    if hm.power != 0 or hm.ratio != 1 or hm.overrides:
+    if hm.overrides or _order(PowerGeomTail(1.0, hm.power, hm.ratio)) != _CONSTANT:
         raise PreconditionError(f"the hub measure hub_m must be a constant, got {hm.describe()}")
     if tail_converges(hb.tail_class()) is not True:
         raise PreconditionError("hub edge weights must be summable: sum_k b(o, x_k) < inf")

@@ -40,7 +40,7 @@ from .series import (
     SeriesKind,
     Verdict,
     VerdictState,
-    series_verdict,
+    _evaluate,
     tail_converges,
 )
 from .symmetry import _ordered_sums, sphere_decomposition
@@ -82,16 +82,12 @@ def solve_symmetric_harmonic(
     alpha: float,
     u0: float,
     depth: int,
-    *,
-    boundary: np.ndarray | None = None,
 ) -> HarmonicSolution:
     """Run the forward recurrence to the given depth.
 
     Requires finite ``alpha > 0`` and ``u0 > 0``; the solution is then
     strictly increasing.  Depth may not exceed the range over which the
     profile has explicit values (custom tails stop at the prefix).
-    ``boundary``, when given, is ``p.values("boundary", depth)`` as the
-    caller already read it.
     """
     _require_finite("alpha", alpha)
     _require_finite("u0", u0)
@@ -108,7 +104,7 @@ def solve_symmetric_harmonic(
             f"profile values end at radius {int(avail) - 1}; cannot solve to depth {depth}"
         )
 
-    b = p.values("boundary", depth) if boundary is None else boundary
+    b = p.values("boundary", depth)
     bad = np.flatnonzero(~(b > 0))
     if len(bad):
         r = int(bad[0])
@@ -313,8 +309,7 @@ def membership_report(p: RadialProfile, sol: HarmonicSolution) -> MembershipRepo
     """Decide bounded / finite-energy / l1 / l2 membership of the
     increasing radial solution, with the solution's running sums as
     diagnostics."""
-    bh = series_verdict(p, SeriesKind.BOUNDED_HARMONIC)
-    ew = series_verdict(p, SeriesKind.ENERGY_WEIGHT)
+    bh, ew = _evaluate(p, (SeriesKind.BOUNDED_HARMONIC, SeriesKind.ENERGY_WEIGHT)).values()
 
     last = max(1, min(sol.depth, sol.finite_rows - 1))  # sampled within the float range
     depths = tuple(

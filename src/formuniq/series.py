@@ -83,8 +83,11 @@ class PowerGeomTail:
             object.__setattr__(self, attr, float(getattr(self, attr)) + 0.0)
         if self.coeff < 0:
             raise ValueError("sequence coefficient must be nonnegative")
-        if self.ratio <= 0:
+        # nan is refused: growth orders (see _order) are compared as tuples
+        if not self.ratio > 0:
             raise ValueError("sequence ratio must be positive")
+        if math.isnan(self.power):
+            raise ValueError("sequence power must not be nan")
         for r, _ in self.overrides:
             if r < 0:
                 raise ValueError(f"override index must be nonnegative, got {r}")
@@ -191,64 +194,70 @@ def _check_finite(fields) -> None:
 #
 # A "class" is a PowerGeomTail describing the asymptotic shape of a
 # positive sequence, or None when unknown.  Coefficients are carried as
-# rough asymptotic estimates; convergence decisions depend only on
-# (is_zero, power, ratio).
+# rough asymptotic estimates; every decision reads only the growth order
+# (:func:`_order`).
 # ---------------------------------------------------------------------------
 
 
-def _class(coeff: float, power: float, ratio: float) -> PowerGeomTail:
+def _order(t: TailModel | None) -> tuple[float, float] | None:
+    """Growth order ``(ratio, power)`` of a closed-form class, compared as
+    a tuple: a class with the larger order eventually dominates.  The
+    zero class ranks below every other class (ratios are positive); a
+    custom or unknown tail has no order."""
+    if not isinstance(t, PowerGeomTail):
+        return None
+    return (0.0, 0.0) if t.is_zero else (t.ratio, t.power)
+
+
+# sums converge below this order; sequences are bounded at or below the
+# constant order and bounded away from 0 at or above it
+_SUMMABLE = (1.0, -1.0)
+_CONSTANT = (1.0, 0.0)
+# the power laws (ratio 1) lie between these: orders below the first
+# decay geometrically, orders above the second grow geometrically
+_GEOMETRIC_DECAY = (1.0, -math.inf)
+_GEOMETRIC_GROWTH = (1.0, math.inf)
+
+
+def _class(coeff: float, power: float, ratio: float) -> PowerGeomTail | None:
     """A class built from nonzero classes.  Its coefficient is held above
     zero: ``coeff == 0`` is the zero class, the one reading of a coefficient
     that decides anything, so neither a product that underflows nor the
-    reciprocal of an overflowed (inf) coefficient may land there."""
-    return PowerGeomTail(max(coeff, sys.float_info.min), power, ratio)
+    reciprocal of an overflowed (inf) coefficient may land there.  A ratio
+    that underflows to 0 is held at the least positive float, still below
+    1, so every decision on its order is exact; a power of nan (inf - inf)
+    has no order, and the class is unknown."""
+    if math.isnan(power):
+        return None
+    return PowerGeomTail(max(coeff, sys.float_info.min), power, ratio or math.ulp(0.0))
 
 
 def tail_converges(t: TailModel | None) -> bool | None:
     """Does ``sum_r a(r)`` converge?  None when undecidable."""
-    if t is None:
-        return None
     if isinstance(t, CustomTail):
         return t.convergent
-    if t.is_zero:
-        return True
-    if t.ratio < 1:
-        return True
-    if t.ratio > 1:
-        return False
-    return t.power < -1
+    order = _order(t)
+    return None if order is None else order < _SUMMABLE
 
 
 def tail_bounded(t: TailModel | None) -> bool | None:
     """Is ``C (r+1)^p rho^r`` bounded above as r -> inf?"""
-    if not isinstance(t, PowerGeomTail):
-        return None
-    if t.is_zero:
-        return True
-    if t.ratio != 1:
-        return t.ratio < 1
-    return t.power <= 0
+    order = _order(t)
+    return None if order is None else order <= _CONSTANT
 
 
 def tail_bounded_below(t: TailModel | None) -> bool | None:
     """Is the positive sequence ``C (r+1)^p rho^r`` bounded away from 0?"""
-    if not isinstance(t, PowerGeomTail):
-        return None
-    if t.is_zero:
-        return False
-    if t.ratio != 1:
-        return t.ratio > 1
-    return t.power >= 0
+    order = _order(t)
+    return None if order is None else order >= _CONSTANT
 
 
 def tail_max(a: PowerGeomTail | None, b: PowerGeomTail | None) -> PowerGeomTail | None:
     """Class of the pointwise max of two positive sequences."""
-    if a is None or b is None:
+    ka, kb = _order(a), _order(b)
+    if ka is None or kb is None:
         return None
-    if a.is_zero or b.is_zero:
-        return b if a.is_zero else a
-    ka, kb = (a.ratio, a.power), (b.ratio, b.power)
-    if ka == kb:
+    if ka == kb and not a.is_zero:  # two zero classes: b
         return PowerGeomTail(max(a.coeff, b.coeff), a.power, a.ratio)
     return a if ka > kb else b
 
@@ -294,17 +303,12 @@ def tail_shift(a: PowerGeomTail | None, k: int) -> PowerGeomTail | None:
 
 def tail_add(a: PowerGeomTail | None, b: PowerGeomTail | None) -> PowerGeomTail | None:
     """Class of a sum of two positive sequences: the dominant one."""
-    if a is None or b is None:
+    ka, kb = _order(a), _order(b)
+    if ka is None or kb is None:
         return None
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if (a.ratio, a.power) == (b.ratio, b.power):
+    if ka == kb and not a.is_zero:  # two zero classes: b
         return _class(a.coeff + b.coeff, a.power, a.ratio)
-    if (a.ratio, a.power) > (b.ratio, b.power):
-        return a
-    return b
+    return a if ka > kb else b
 
 
 def tail_cumsum_class(
@@ -318,15 +322,14 @@ def tail_cumsum_class(
     may supply its value.  Logarithmic growth at ``power == -1`` is
     recorded as a constant class (see module docstring).
     """
-    if a is None:
+    order = _order(a)
+    if order is None:
         return None
-    conv = tail_converges(a)
-    if conv:
+    if order < _SUMMABLE:
         return PowerGeomTail(total if total and math.isfinite(total) else 1.0)
-    if a.ratio > 1:
+    if order > _GEOMETRIC_GROWTH:
         return _class(a.coeff * a.ratio / (a.ratio - 1.0), a.power, a.ratio)
-    # ratio == 1, power >= -1
-    if a.power > -1:
+    if order > _SUMMABLE:
         return _class(a.coeff / (a.power + 1.0), a.power + 1.0, 1.0)
     return PowerGeomTail(a.coeff, 0.0, 1.0)
 
@@ -336,13 +339,14 @@ def tail_complement_class(a: PowerGeomTail | None) -> PowerGeomTail | None:
 
     Only meaningful when the sum converges; raises otherwise.
     """
-    if a is None:
+    order = _order(a)
+    if order is None:
         return None
     if a.is_zero:
         return ZERO_TAIL
-    if not tail_converges(a):
+    if not order < _SUMMABLE:
         raise ValueError("complement sums of a divergent sequence are infinite")
-    if a.ratio < 1:
+    if order < _GEOMETRIC_DECAY:
         return _class(a.coeff * a.ratio / (1.0 - a.ratio), a.power, a.ratio)
     return _class(a.coeff / (-a.power - 1.0), a.power + 1.0, 1.0)
 

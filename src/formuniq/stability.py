@@ -31,7 +31,7 @@ from .series import (
     SeriesKind,
     Verdict,
     VerdictState,
-    series_verdict,
+    _evaluate,
     state_and,
     tail_bounded,
     tail_bounded_below,
@@ -327,8 +327,7 @@ def symmetric_ends_verdict(
 
     ends = []
     for p in family.end_profiles:
-        tm = series_verdict(p, SeriesKind.TOTAL_MASS)
-        res = series_verdict(p, SeriesKind.RESISTANCE)
+        tm, res = _evaluate(p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)).values()
         fails = state_and(tm.state, res.state).truth
         cap = (
             profile_boundary_capacity(p, capacity_depths, name=p.name)

@@ -173,6 +173,26 @@ def test_analyze_tail_coefficients_past_the_float_range_decide_nothing():
     assert "cross-checks: consistent" in out
 
 
+@pytest.mark.parametrize("exp", [200, 300])
+def test_tail_ratios_whose_product_underflows_decide_every_verdict(exp):
+    # the complement-mass class multiplies rho = 1e-exp by 1/1e+exp, a
+    # product that underflows to a ratio of 0.0
+    text = one_radius_profile(f"C=1 p=0 rho=1e{exp}", f"C=1 p=0 rho=1e-{exp}")
+    code, out = run_on_text(["check", "--profile", "-"], text)
+    assert code == OK
+    assert out.splitlines()[:6] == [
+        "form_uniqueness: fails",
+        "transience: holds",
+        "stochastic_incompleteness: holds",
+        "neumann_feller: fails",
+        "dirichlet_feller: holds",
+        "hamburger_esa: fails",
+    ]
+    code, payload = analyze_json(text)
+    assert code == OK
+    assert "4.94066e-324^r" in payload["neumann_feller"]["reason"]
+
+
 def tail_text(data, *, zero=False):
     if zero:
         return "C=0"

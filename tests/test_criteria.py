@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from formuniq import series
+from formuniq import criteria, harmonic, series, stability
 from formuniq.criteria import (
     _cross_checks,
     dirichlet_feller_verdict,
@@ -223,6 +223,52 @@ def test_full_report_evaluates_each_series_once(monkeypatch, killing):
     assert len(passes) == 1
     assert set(passes[0]) == expected
     assert all(n == 1 for n in passes[0].values())
+
+
+def _readings():
+    """Each verdict reading, called on its input, with the kinds it reads
+    in each pass over a profile."""
+    chain = birth_death(geometric(2.0), geometric(0.5)).profile
+    sol = harmonic.solve_symmetric_harmonic(chain, 1.0, 1.0, 16)
+    ends = gallery("bilateral_mixed")
+    K = SeriesKind
+    return {
+        "form_uniqueness": (
+            lambda: form_uniqueness_verdict(chain), [{K.TOTAL_MASS, K.RESISTANCE}]
+        ),
+        "dirichlet_feller": (
+            lambda: dirichlet_feller_verdict(chain), [{K.RESISTANCE, K.FELLER_TAIL}]
+        ),
+        "symmetric_ends": (
+            lambda: stability.symmetric_ends_verdict(ends),
+            [{K.TOTAL_MASS, K.RESISTANCE}] * len(ends.end_profiles),
+        ),
+        "membership": (
+            lambda: harmonic.membership_report(chain, sol),
+            [{K.BOUNDED_HARMONIC, K.ENERGY_WEIGHT}],
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "reading", ["form_uniqueness", "dirichlet_feller", "symmetric_ends", "membership"]
+)
+def test_verdict_readings_evaluate_their_series_in_one_pass(monkeypatch, reading):
+    call, expected = _readings()[reading]
+    passes = []
+    evaluate = series._evaluate
+
+    def counting(p, kinds):
+        passes.append(Counter(kinds))
+        return evaluate(p, kinds)
+
+    # every binding a reading could reach the evaluator through
+    for module in (series, criteria, stability, harmonic):
+        monkeypatch.setattr(module, "_evaluate", counting, raising=False)
+    call()
+    # one pass per profile, asking for each kind it reads once
+    assert [set(c) for c in passes] == expected
+    assert all(n == 1 for c in passes for n in c.values())
 
 
 def test_divergent_killing_is_not_a_contradiction():

@@ -168,6 +168,20 @@ def test_wss_tree_rejects_growing_branching():
         wss_tree(geometric(2.0))
 
 
+@pytest.mark.parametrize("shape", [(2.0, 1.0), (0.0, 2.0)])
+def test_a_zero_sequence_is_constant_only_with_a_constant_shape(shape):
+    # C=0 is the zero sequence whatever its shape, but only C=0 p=0 rho=1
+    # passes as a constant
+    chain = (geometric(2.0), geometric(0.5), 1.0, 1.0, geometric(0.5))
+    with pytest.raises(StructuralError, match="branching sequence must stay positive"):
+        wss_tree(0.0)
+    assert star_chain(*chain, hub_m=0.0).name == "star_chain"
+    with pytest.raises(PreconditionError, match="eventually constant"):
+        wss_tree(PowerGeomTail(0.0, *shape))
+    with pytest.raises(PreconditionError, match="hub_m must be a constant"):
+        star_chain(*chain, hub_m=PowerGeomTail(0.0, *shape))
+
+
 def test_wss_tree_rejects_fractional_branching():
     with pytest.raises(PreconditionError, match="integers >= 1"):
         wss_tree(const(1.5))

@@ -60,6 +60,7 @@ from formuniq.series import (
     verdict_bundle,
 )
 from formuniq.symmetry import sphere_decomposition
+import scalar_reference
 from scalar_reference import profile_at, seq_at
 
 
@@ -216,6 +217,85 @@ def test_tail_coefficients_never_decide_a_verdict(shapes, exponents, killed):
         return {kind: v.state for kind, v in verdict_bundle(profile).items()}
 
     assert states([10.0**k for k in exponents]) == states([1.0, 1.0, 1.0])
+
+
+# -- growth orders against the predicates they replaced ----------------------
+
+_TINY = 5e-324  # the least positive float, a denormal
+# values at the thresholds 1, -1 and 0, one ulp either side, denormals,
+# the ends of the float range and inf
+ORDER_RATIOS = st.one_of(
+    st.sampled_from(
+        [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), _TINY, 1e-310,
+         sys.float_info.min, 1e-300, 0.5, 2.0, 1e300, math.inf]
+    ),
+    st.floats(min_value=_TINY, allow_nan=False),
+)
+ORDER_POWERS = st.one_of(
+    st.sampled_from(
+        [-1.0, math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0), 0.0, _TINY, -_TINY,
+         1e-310, -2.0, 1.0, 1e300, -1e300, math.inf, -math.inf]
+    ),
+    st.floats(allow_nan=False),
+)
+ORDER_COEFFS = st.one_of(
+    st.sampled_from([1.0, 3.0, _TINY, 1e-310, 1e300, math.inf, math.nan]),
+    st.floats(min_value=_TINY, allow_nan=False),
+)
+# what the class functions take: closed classes, zero classes and None
+CLASSES = st.one_of(
+    st.builds(PowerGeomTail, ORDER_COEFFS, ORDER_POWERS, ORDER_RATIOS),
+    st.builds(PowerGeomTail, st.just(0.0), ORDER_POWERS, ORDER_RATIOS),
+    st.none(),
+)
+# what the predicates also take: custom tails
+TAILS = st.one_of(CLASSES, st.sampled_from([CustomTail(True), CustomTail(False), CustomTail(None)]))
+
+
+def _outcome(f, *args):
+    """What ``f(*args)`` returns, field for field (repr keeps every float
+    bit, nan included), or the exception it raises."""
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"raises ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(TAILS, CLASSES, CLASSES, st.sampled_from([None, 0.0, 2.5, math.inf, math.nan]))
+def test_growth_order_decides_as_the_separate_comparisons_did(t, a, b, total):
+    ref = scalar_reference
+    for name in ("tail_converges", "tail_bounded", "tail_bounded_below"):
+        assert _outcome(getattr(series, name), t) == _outcome(getattr(ref, name), t), name
+    for name in ("tail_max", "tail_add"):
+        assert _outcome(getattr(series, name), a, b) == _outcome(getattr(ref, name), a, b), name
+    assert _outcome(tail_cumsum_class, a, total) == _outcome(ref.tail_cumsum_class, a, total)
+    assert _outcome(tail_complement_class, a) == _outcome(ref.tail_complement_class, a)
+
+
+def test_tail_refuses_a_nan_ratio_or_power():
+    # growth orders compare as tuples, which is a total order only without nan
+    with pytest.raises(ValueError, match="ratio must be positive"):
+        PowerGeomTail(1.0, -2.0, math.nan)
+    with pytest.raises(ValueError, match="power must not be nan"):
+        PowerGeomTail(1.0, math.nan, 0.5)
+    # coefficients keep carrying what the algebra makes of inf: inf / inf
+    cum = tail_cumsum_class(PowerGeomTail(math.inf, 0.0, math.inf))
+    assert math.isnan(cum.coeff) and cum.ratio == math.inf
+
+
+def test_a_product_of_infinite_powers_has_an_unknown_class():
+    # +inf + -inf is a nan power, which has no order
+    up, down = PowerGeomTail(1.0, 1e308, 2.0), PowerGeomTail(1.0, -1e308, 0.5)
+    assert tail_mul(tail_square(up), tail_square(down)) is None
+    assert tail_converges(tail_mul(tail_square(up), tail_square(down))) is None
+
+
+def test_a_ratio_that_underflows_is_held_at_the_least_positive_float():
+    tiny = PowerGeomTail(1.0, 0.0, 1e-200)
+    assert tail_mul(tiny, tiny).ratio == _TINY
+    assert tail_reciprocal(PowerGeomTail(1.0, 0.0, math.inf)).ratio == _TINY
+    assert tail_converges(tail_mul(tiny, tiny)) is True
 
 
 # -- tri-state logic ---------------------------------------------------------
