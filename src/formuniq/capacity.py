@@ -8,10 +8,12 @@ symmetric profile the neighborhood at scale eps is the union of all
 spheres whose remaining radial sigma-length is below eps; its potential
 is radial, so the value is one positive-term radial recurrence (the
 capacity of the ball's outer sphere, grown one sphere at a time) plus
-the (c+m)-mass of the constrained tail.  For composite families the
+the (c+m)-mass of the constrained tail; its class comes from the exact
+verdicts that decide form uniqueness, which fails exactly when the
+boundary capacity is positive.  For composite families the
 neighborhoods live in finite truncations, the values come from sparse
-equilibrium solves, and the report tracks how they respond to
-deepening the truncation.
+equilibrium solves, and a growth under deepening the truncation is the
+one class they decide.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .graph import WeightedGraph, degrees, form_norm_sq, vertex_mask
 from .series import (
     CustomTail,
     PowerGeomTail,
+    SeriesKind,
+    _evaluate,
+    state_and,
     tail_add,
     tail_converges,
     tail_max,
@@ -43,7 +48,7 @@ from .series import (
 
 DIRECT_SOLVE_LIMIT = 50_000
 STABILITY_RTOL = 1e-3  # truncation-deepening stopping rule (0.1%)
-EXTRAPOLATION_RTOL = 1e-2  # successive neighborhood values within 1%
+EXTRAPOLATION_RTOL = 1e-2  # last two neighborhood values within 1%
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +323,9 @@ class CapacityEstimate:
     """Boundary capacity along shrinking neighborhoods.
 
     ``classification`` is one of ``"zero"``, ``"positive-finite"``,
-    ``"infinite"``, ``"zero-trend"``, ``"undecided"``;
-    ``extrapolated`` is None exactly when no stable limit was reached.
+    ``"infinite"``, ``"undecided"``; ``extrapolated`` is 0.0 for zero,
+    inf for infinite, None for undecided, and for positive-finite the
+    last row's value when the last two agree within 1%, else None.
     """
 
     family: str
@@ -327,22 +333,6 @@ class CapacityEstimate:
     extrapolated: float | None
     classification: str
     evidence: tuple[str, ...]
-
-
-def _classify(values: list[float]) -> tuple[float | None, str]:
-    if any(math.isinf(v) for v in values):
-        return math.inf, "infinite"
-    if len(values) >= 2:
-        last, prev = values[-1], values[-2]
-        if math.isclose(last, prev, rel_tol=EXTRAPOLATION_RTOL, abs_tol=1e-12):
-            if last <= 1e-12:
-                return 0.0, "zero"
-            return last, "positive-finite"
-        if all(
-            values[i + 1] <= values[i] * 0.5 + 1e-15 for i in range(len(values) - 1)
-        ):
-            return None, "zero-trend"
-    return None, "undecided"
 
 
 def _check_depths(depths: Sequence[int]) -> None:
@@ -367,9 +357,7 @@ def _check_nonincreasing(values: Sequence[float]) -> None:
             )
 
 
-def profile_boundary_capacity(
-    p, depths: Sequence[int], *, name: str = ""
-) -> CapacityEstimate:
+def profile_boundary_capacity(p, depths: Sequence[int]) -> CapacityEstimate:
     """Boundary capacity of a radial profile along shrinking neighborhoods.
 
     Depth d gives U_n, the spheres at radius >= n = d + 1, at the scale
@@ -384,26 +372,25 @@ def profile_boundary_capacity(
     (dB(r-1) s_{r-1} is edge and inner ball in series).  Every term is
     positive, so the loop does not cancel.  A depth at or past the first
     radius where dB or (m+c) leaves the float range is not evaluated
-    (dB = inf would make the next a_r inf * 0), and the estimate is then
-    undecided.
+    (dB = inf would make the next a_r inf * 0), nor is one whose value
+    leaves it.  The class is exact: zero on an empty boundary, infinite
+    on a divergent total (c+m)-mass, else positive-finite exactly when
+    resistance and mass both converge (form uniqueness fails) and zero
+    when not; undecided when a verdict is, a depth is not evaluated, or a
+    convergent mass leaves the float range.
     """
     _check_depths(depths)
-    name = name or p.name
     reach = radial_boundary_reach(p)
     if reach.finite is None:
-        return CapacityEstimate(name, (), None, "undecided", (reach.note,))
+        return CapacityEstimate(p.name, (), None, "undecided", (reach.note,))
     if reach.finite is False:
         rows = tuple(
             CapacityRow(d, math.inf, "empty boundary (radial direction complete)", 0.0, 0.0)
             for d in depths
         )
-        return CapacityEstimate(
-            name,
-            rows,
-            0.0,
-            "zero",
-            ("total radial sigma-length is infinite, so the Cauchy boundary is empty",),
-        )
+        why = "total radial sigma-length is infinite, so the Cauchy boundary is empty"
+        return CapacityEstimate(p.name, rows, 0.0, "zero", (why,))
+    mass, resistance = _evaluate(p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)).values()
     top = max(depths) + 1
     b = p.values("boundary", top + 1)
     mc = p.values("measure", top + 1) + p.values("killing", top + 1)
@@ -415,7 +402,6 @@ def profile_boundary_capacity(
         a.append(mc[r] + b[r - 1] * (a[r - 1] / (a[r - 1] + b[r - 1])))
 
     rows: list[CapacityRow] = []
-    values: list[float] = []
     evidence: list[str] = []
     for depth in depths:
         r_cut = depth + 1
@@ -428,8 +414,10 @@ def profile_boundary_capacity(
         desc = f"spheres at radius >= {r_cut}"
         if not math.isfinite(tail_mass):
             rows.append(CapacityRow(depth, eps, desc, math.inf, math.inf))
-            values.append(math.inf)
-            evidence.append(f"eps={eps:.3e}: constrained tail has infinite (c+m)-mass")
+            evidence.append(
+                f"eps={eps:.3e}: constrained tail has infinite (c+m)-mass" if mass.fails
+                else f"eps={eps:.3e}: the (c+m)-mass beyond radius {depth} leaves the float range"
+            )
             continue
         if depth >= stop:
             evidence.append(
@@ -438,13 +426,29 @@ def profile_boundary_capacity(
             )
             break
         value = a[r_cut] + p.mass_beyond(r_cut)
+        if not math.isfinite(value):
+            evidence.append(
+                f"the capacity at radius {r_cut} leaves the float range: "
+                f"depth {depth} and deeper are not evaluated"
+            )
+            break
         trapped = tail_mass if p.killing_is_zero else p.measure_beyond(depth)
         rows.append(CapacityRow(depth, eps, desc, value, float(trapped)))
-        values.append(value)
 
+    values = [row.value for row in rows]
     _check_nonincreasing(values)
-    extrapolated, label = _classify(values) if len(rows) == len(depths) else (None, "undecided")
-    return CapacityEstimate(name, tuple(rows), extrapolated, label, tuple(evidence))
+    nonunique = state_and(mass.state, resistance.state).truth  # both series converge
+    if mass.fails:
+        extrapolated, label = math.inf, "infinite"
+    elif len(rows) < len(depths) or math.inf in values or nonunique is None:
+        extrapolated, label = None, "undecided"
+    elif nonunique:
+        prev = values[-2] if len(values) > 1 else math.nan  # one row settles nothing
+        settled = math.isclose(values[-1], prev, rel_tol=EXTRAPOLATION_RTOL, abs_tol=1e-12)
+        extrapolated, label = (values[-1] if settled else None), "positive-finite"
+    else:
+        extrapolated, label = 0.0, "zero"
+    return CapacityEstimate(p.name, tuple(rows), extrapolated, label, tuple(evidence))
 
 
 def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
@@ -465,7 +469,6 @@ def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
     scale = float(finite.max()) / 4 if len(finite) else 1.0
 
     rows: list[CapacityRow] = []
-    values: list[float] = []
     evidence: list[str] = []
     grew = shrank = 0
     for idx, d in enumerate(depths):
@@ -478,7 +481,6 @@ def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
         trapped = float(base.graph.measure[in_base].sum())
         desc = f"{len(in_base)} vertices within sigma-distance {eps:.3e} of the deep rim"
         rows.append(CapacityRow(d, eps, desc, cap_deep, trapped, stable))
-        values.append(cap_deep)
         if not stable:
             grew += cap_deep > cap_base
             shrank += cap_deep < cap_base
@@ -487,20 +489,15 @@ def _vertex_route(family: Family, depths: Sequence[int]) -> CapacityEstimate:
                 f"under truncation deepening (trapped measure {trapped!r})"
             )
 
-    _check_nonincreasing(values)
+    _check_nonincreasing([row.value for row in rows])
     trapped_floor = min(r.trapped_measure for r in rows) if rows else 0.0
     if grew and not shrank and trapped_floor > 1e-9:
         evidence.append(
             "values grow under truncation deepening while every neighborhood "
             f"keeps measure >= {trapped_floor!r}: diverging-from-zero"
         )
-        return CapacityEstimate(
-            family.name, tuple(rows), math.inf, "infinite", tuple(evidence)
-        )
-    if grew or shrank:
-        return CapacityEstimate(family.name, tuple(rows), None, "undecided", tuple(evidence))
-    extrapolated, label = _classify(values)
-    return CapacityEstimate(family.name, tuple(rows), extrapolated, label, tuple(evidence))
+        return CapacityEstimate(family.name, tuple(rows), math.inf, "infinite", tuple(evidence))
+    return CapacityEstimate(family.name, tuple(rows), None, "undecided", tuple(evidence))
 
 
 def boundary_capacity_estimate(family: Family, depths: Sequence[int]) -> CapacityEstimate:
@@ -514,5 +511,5 @@ def boundary_capacity_estimate(family: Family, depths: Sequence[int]) -> Capacit
     at each scale.  ``depths`` must be positive and strictly increasing.
     """
     if family.profile is not None:
-        return profile_boundary_capacity(family.profile, depths, name=family.name)
+        return profile_boundary_capacity(family.profile, depths)
     return _vertex_route(family, depths)

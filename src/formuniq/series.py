@@ -362,7 +362,8 @@ def tail_sum_exact(a: PowerGeomTail, r_from: int = 0) -> float:
     exists within a fixed term budget (``ratio`` extremely close to 1,
     decided before any term is summed) they fall back to the Lerch
     transcendent in 30-digit mpmath.  Power tails (``ratio == 1``) use
-    the Hurwitz zeta function.
+    the Hurwitz zeta function.  Either is skipped for 0.0 when the sum's
+    bound ``C (K+1)^p (1 + (K+1)/(-p-1))`` (p < -1) is below ``2^-1076``.
     """
     if a.is_zero:
         return 0.0
@@ -373,6 +374,11 @@ def tail_sum_exact(a: PowerGeomTail, r_from: int = 0) -> float:
         val = _geometric_tail_sum(a.coeff, a.power, a.ratio, K)
         if val is not None:
             return val
+    if a.power < -1 and (
+        math.log(a.coeff) + a.power * math.log1p(K) + math.log1p((K + 1) / (-a.power - 1))
+        < _LOG_BELOW_LEAST_FLOAT
+    ):
+        return 0.0
     with mp.workdps(30):
         if a.ratio < 1:
             # sum_{r>=K} C (r+1)^p rho^r = (C/rho) rho^(K+1) Phi(rho, -p, K+1)
@@ -387,6 +393,7 @@ def tail_sum_exact(a: PowerGeomTail, r_from: int = 0) -> float:
         return float(val)
 
 
+_LOG_BELOW_LEAST_FLOAT = -1076 * math.log(2)  # half of 2^-1075, which already rounds to 0.0
 _FLOAT_TERM_BUDGET = 1 << 19
 _FLOAT_CHUNK = 1 << 14
 _REMAINDER_TOL = 2.0**-53
@@ -562,7 +569,8 @@ class RadialProfile:
         if isinstance(tail, CustomTail):
             return None
         k = max(r + 1, 0)
-        return float(prefix[k:].sum()) + tail_sum_exact(tail, max(k, len(prefix)))
+        with np.errstate(over="ignore"):  # a sum past the float range reads as inf
+            return float(prefix[k:].sum()) + tail_sum_exact(tail, max(k, len(prefix)))
 
     def total_measure(self) -> float | None:
         return self._beyond("measure", -1)

@@ -329,11 +329,7 @@ def symmetric_ends_verdict(
     for p in family.end_profiles:
         tm, res = _evaluate(p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)).values()
         fails = state_and(tm.state, res.state).truth
-        cap = (
-            profile_boundary_capacity(p, capacity_depths, name=p.name)
-            if capacity_depths
-            else None
-        )
+        cap = profile_boundary_capacity(p, capacity_depths) if capacity_depths else None
         ends.append(EndReport(p.name, tm, res, fails, cap))
 
     hypotheses_met = x1_ok is True and boundary.bounded is True
@@ -405,9 +401,9 @@ class InstabilityReport:
     notes: tuple[str, ...] = ()
 
 
-def _solve_example(trunc: Truncation, alpha: float, rail: np.ndarray) -> np.ndarray:
-    """Positive solution of (L + alpha) u = 0 anchored at the first vertex
-    of ``rail``.
+def _solve_example(trunc: Truncation, rail: np.ndarray) -> np.ndarray:
+    """Positive solution of (L + 1) u = 0 anchored at the first vertex of
+    ``rail``.
 
     The equation is imposed everywhere except the last vertex of the
     rail, which acts as a free boundary; on these examples the resulting
@@ -415,7 +411,7 @@ def _solve_example(trunc: Truncation, alpha: float, rail: np.ndarray) -> np.ndar
     """
     g = trunc.graph
     interior = np.delete(np.arange(g.vertex_count), rail[-1])
-    u = truncated_dirichlet_solve(g, alpha, (rail[0], 1.0), interior=interior)
+    u = truncated_dirichlet_solve(g, 1.0, (rail[0], 1.0), interior=interior)
     if u.min() <= 0:
         raise StructuralError("positive-solution ansatz failed on the truncation")
     return u
@@ -442,12 +438,11 @@ def analyze_instability_example(
     family: Family,
     depths: Sequence[int] = (20, 40, 80),
     *,
-    alpha: float = 1.0,
     floor: float | None = None,
 ) -> InstabilityReport:
     """Replay one of the three gluing counterexamples numerically.
 
-    Solves ``(L + alpha) u = 0`` with u = 1 anchored at the chain start
+    Solves ``(L + 1) u = 0`` with u = 1 anchored at the chain start
     on each truncation, then verifies the monotonicity pattern in the
     numeric solution: past a detected onset index the chain rail
     strictly increases while each attached vertex (pendant, or the
@@ -486,7 +481,7 @@ def analyze_instability_example(
                 raise StructuralError(
                     f"rail {name!r} does not hold one vertex per layer 0..{depth}"
                 )
-        u = _solve_example(trunc, alpha, chain)
+        u = _solve_example(trunc, chain)
         # the last quarter of the truncation feels the free boundary;
         # patterns and energies are read inside the remaining window
         window = max(2, (3 * depth) // 4)

@@ -1,6 +1,7 @@
 """Intrinsic metrics, cutoff functions, and boundary capacity."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,9 +17,11 @@ from formuniq import (
     degree_path_lengths,
     equilibrium_potential,
     form_norm_sq,
+    form_uniqueness_verdict,
     gallery,
     profile_boundary_capacity,
     radial_boundary_reach,
+    series_verdict,
     symmetric_ends_verdict,
 )
 from formuniq.capacity import (
@@ -28,9 +31,15 @@ from formuniq.capacity import (
     shortest_paths,
 )
 from formuniq.cli import OK, main
-from formuniq.families import birth_death
+from formuniq.families import bilateral_chain, birth_death
 from formuniq.graph import laplacian
-from formuniq.series import CustomTail, PowerGeomTail, RadialProfile, tail_sum_exact
+from formuniq.series import (
+    CustomTail,
+    PowerGeomTail,
+    RadialProfile,
+    SeriesKind,
+    tail_sum_exact,
+)
 
 
 def unit_path(n):
@@ -449,3 +458,115 @@ def test_capacity_depths_past_the_profile_prefix(capsys):
     assert lines[2].startswith("319,") and lines[2].split(",")[2] == "0.8250407357089236"
     assert main(["ends", "--family", "bilateral_mixed", "--capacity-depths", "16,400"]) == OK
     assert "capacity positive-finite" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the profile class from the form-uniqueness verdicts
+# ---------------------------------------------------------------------------
+
+
+def _expected_class(p):
+    """zero on an empty boundary, infinite on a divergent total mass, else
+    positive-finite exactly when form uniqueness fails."""
+    if not radial_boundary_reach(p).finite:
+        return "zero"
+    if series_verdict(p, SeriesKind.TOTAL_MASS).fails:
+        return "infinite"
+    return "positive-finite" if form_uniqueness_verdict(p).fails else "zero"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seqs,
+    seqs,
+    st.none() | seqs,
+    st.lists(st.integers(1, 400), min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_profile_capacity_class_follows_the_form_uniqueness_verdicts(b, m, c, depths):
+    try:
+        p = birth_death(b, m, c if c is not None else 0.0).profile
+    except ValueError:
+        assume(False)
+    est = profile_boundary_capacity(p, depths)
+    # every depth evaluated, and no row past the float range while the mass converges
+    assume(len(est.rows) == len(depths))
+    assume(
+        est.classification == "infinite"
+        or all(math.isfinite(row.value) for row in est.rows)
+    )
+    assert not form_uniqueness_verdict(p).inconclusive
+    assert est.classification == _expected_class(p)
+
+
+@pytest.mark.parametrize("depths", [(8, 16, 32), (32, 64, 128), (100, 200, 300)])
+def test_resistance_diverging_through_a_geometric_factor_is_zero(depths):
+    # sum 1/dB = sum (r+1)^-4 (1/0.9)^r diverges, though its terms fall up
+    # to r ~ 37: the rows settle near 1.39 at shallow depths, and only the
+    # verdicts see the capacity is zero
+    fam = birth_death(PowerGeomTail(1, 4, 0.9), PowerGeomTail(1, 0, 0.5))
+    assert form_uniqueness_verdict(fam.profile).holds
+    est = boundary_capacity_estimate(fam, depths)
+    assert (est.classification, est.extrapolated) == ("zero", 0.0)
+    assert len(est.rows) == len(depths)
+
+
+def test_values_falling_by_halves_are_not_read_as_zero():
+    # the mass term C 0.5^r halves the rows at every depth, yet the mass and
+    # the resistance both converge, so the capacity is positive
+    fam = birth_death(PowerGeomTail(1, 0, 2), PowerGeomTail(1e308, 0, 0.5))
+    est = boundary_capacity_estimate(fam, (8, 16, 32))
+    values = [row.value for row in est.rows]
+    assert all(nxt <= prev / 2 for prev, nxt in zip(values, values[1:]))
+    assert est.classification == "positive-finite"
+    assert est.extrapolated is None
+
+
+def test_shallow_depths_take_the_exact_class(capsys):
+    for depths in ("1", "1,2", "4"):
+        assert main(["capacity", "--family", "geometric_chain", "--depths", depths]) == OK
+        assert capsys.readouterr().out.splitlines()[-1] == "# classification: positive-finite"
+
+
+# the acceptance suite's random-chain ranges
+chain_seqs = st.tuples(
+    st.floats(0.3, 3.0), st.floats(-2.0, 2.0), st.floats(0.55, 1.8)
+).map(lambda t: PowerGeomTail(*t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_seqs, chain_seqs, chain_seqs, chain_seqs, st.integers(16, 318))
+def test_each_end_capacity_is_positive_exactly_where_the_end_fails(pb, pm, nb, nm, top):
+    fam = bilateral_chain(pb, pm, nb, nm)
+    depths = tuple(sorted({top // 4, top // 2, top}))
+    report = symmetric_ends_verdict(fam, capacity_depths=depths)
+    for end in report.ends:
+        assert end.fails is not None
+        want = {"positive-finite"} if end.fails else {"zero", "infinite"}
+        assert end.capacity.classification in want, (end.name, depths)
+
+
+def test_a_convergent_mass_past_the_float_range_is_undecided():
+    # sum 1e307 * 0.999^r = 1e310 converges but leaves the float range: not
+    # an infinite mass, and no overflow warning on the way
+    fam = birth_death(PowerGeomTail(1, 2, 1), PowerGeomTail(1e307, 0, 0.999))
+    assert series_verdict(fam.profile, SeriesKind.TOTAL_MASS).holds
+    assert form_uniqueness_verdict(fam.profile).fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = boundary_capacity_estimate(fam, (8, 16, 32))
+    assert (est.classification, est.extrapolated) == ("undecided", None)
+    assert [row.value for row in est.rows] == [math.inf] * 3
+    assert est.evidence[0].endswith("the (c+m)-mass beyond radius 8 leaves the float range")
+    assert not any("infinite" in line for line in est.evidence)
+
+
+def test_a_capacity_past_the_float_range_is_not_evaluated():
+    # a_1 = (m+c)(S_1) + dB(0) s_0 = 1.6e308 + 0.25e308 leaves the float range
+    # while every dB, m and the tail mass beyond radius 1 fit: the rows after
+    # it were nan
+    m = PowerGeomTail(0.5e308, math.log2(320), 0.01)
+    est = boundary_capacity_estimate(birth_death(PowerGeomTail(0.5e308, 0, 1), m), (1, 2, 4))
+    assert (est.rows, est.extrapolated, est.classification) == ((), None, "undecided")
+    assert est.evidence == (
+        "the capacity at radius 2 leaves the float range: depth 1 and deeper are not evaluated",
+    )

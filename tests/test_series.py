@@ -9,6 +9,7 @@ import dataclasses
 import io
 import math
 import sys
+import time
 
 import mpmath as mp
 import numpy as np
@@ -520,6 +521,47 @@ def test_tail_sum_next_to_the_term_budget(power):
     assert series._geometric_tail_sum(1.0, power, ratio, 48) is None
     got = tail_sum_exact(PowerGeomTail(1.0, power, ratio), 48)
     assert got == pytest.approx(mp_tail_sum(1.0, power, ratio, 48), rel=1e-12, abs=0.0)
+
+
+# the values of the 30-digit Hurwitz zeta before power tails below the float
+# range were decided from a bound
+STEEP_POWER_TAIL_SUMS = {
+    (-60, 0): 1.0,
+    (-60, 1): 8.673617380119933e-19,
+    (-60, 64): 2.817474814153009e-109,
+    (-400, 0): 1.0,
+    (-400, 1): 3.8725919148493183e-121,
+    (-400, 64): 0.0,
+    (-1e100, 0): 1.0,
+    (-1e100, 1): 0.0,
+    (-1e100, 64): 0.0,
+    (-1e308, 0): 1.0,
+    (-1e308, 1): 0.0,
+    (-1e308, 64): 0.0,
+}
+
+
+@pytest.mark.parametrize("power, r_from", sorted(STEEP_POWER_TAIL_SUMS))
+def test_steep_power_tails_keep_their_values_and_skip_the_zeta(power, r_from):
+    # the zeta took 0.04 s at p = -1e100 and 0.6 s at p = -1e308 for a 0.0
+    tail = PowerGeomTail(1.0, power, 1.0)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        got = tail_sum_exact(tail, r_from)
+        times.append(time.perf_counter() - start)
+        assert repr(got) == repr(STEEP_POWER_TAIL_SUMS[power, r_from])
+    assert min(times) < 0.01
+
+
+@pytest.mark.parametrize("power", range(-1080, -1069))
+@pytest.mark.parametrize("coeff", [1.0, 3.0])
+def test_power_tails_next_to_the_least_float_match_the_zeta(power, coeff):
+    # 2^p is the first term at r_from = 1: the bound decides 0.0 only where
+    # the 30-digit value rounds to it, and subnormal sums keep their bits
+    with mp.workdps(30):
+        want = float(mp.mpf(coeff) * mp.zeta(-power, 2))
+    assert repr(tail_sum_exact(PowerGeomTail(coeff, float(power), 1.0), 1)) == repr(want)
 
 
 # -- radial profiles ----------------------------------------------------------
