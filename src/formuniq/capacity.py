@@ -11,9 +11,12 @@ capacity of the ball's outer sphere, grown one sphere at a time) plus
 the (c+m)-mass of the constrained tail; its class comes from the exact
 verdicts that decide form uniqueness, which fails exactly when the
 boundary capacity is positive.  For composite families the
-neighborhoods live in finite truncations, the values come from sparse
+neighborhoods live in finite truncations, the values come from
 equilibrium solves, and a growth under deepening the truncation is the
-one class they decide.
+one class they decide.  An equilibrium solve eliminates leaves first,
+exactly, by the series law of electrical networks (the same positive
+terms as the radial recurrence), and hands only the core that is left,
+empty on trees such as the binary tree, to a sparse solver.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import cg, spsolve
+from scipy.sparse.linalg import cg, splu
 
 from .errors import PreconditionError, StructuralError
 from .families import Family
@@ -185,10 +189,27 @@ def equilibrium_potential(
 
     Minimizes ``||u||^2 + Q(u)`` subject to ``u = 1`` on K, by solving
     the stationarity system ``(M + C + D - B) u = 0`` on the complement
-    with the K-rows fixed at one; capacity is the minimizer's squared
-    form norm.  ``k_set`` takes the forms
+    with u fixed at one on K; capacity is the minimizer's squared form
+    norm.  ``k_set`` takes the forms
     :func:`~formuniq.graph.vertex_mask` accepts.  cap(empty) = 0 with
     the zero potential.
+
+    A free vertex x carries its excess s_x = m + c + b(x, K) over its
+    free edges and the right-hand side b(x, K).  Gaussian elimination
+    takes the leaves first, exactly and without fill, in rounds: every
+    free vertex with at most one free neighbour left goes (of two
+    leaves joined to each other, one), and a leaf x joined to y by w
+    hands y the series terms w s_x / (w + s_x) and w b_x / (w + s_x),
+    all positive, so nothing cancels.  Rounds go on while at least an
+    eighth of the vertices left have at most one neighbour, so that a
+    long path does not cost a round per vertex.  What is left is the
+    core (empty on a tree that keeps that pace, such as a binary tree):
+    SuperLU solves it up to :data:`DIRECT_SOLVE_LIMIT` unknowns, refined
+    once on a residual that keeps each s_x apart from the edge weights,
+    and ``cg`` above.  The leaves then read
+    u_x = (b_x + w u_y) / (s_x + w) in reverse round order.  The residual
+    of the whole free system, the range [0, 1] and finiteness are checked
+    before the potential is clipped to [0, 1].
     """
     n = g.vertex_count
     in_k = vertex_mask(n, k_set, "constraint set references an unknown vertex")
@@ -197,31 +218,25 @@ def equilibrium_potential(
     e = np.ones(n)
     free = np.flatnonzero(~in_k)
     if len(free):
-        w = g.adjacency
-        row_sums = np.asarray(w.sum(axis=1)).ravel()
-        diag = g.measure + g.killing + row_sums
-        w_f = w[free]
-        a_ff = sp.diags(diag[free]) - w_f[:, free]
-        rhs = w_f @ in_k
-        # rhs sums each free row over its K-columns in scipy's row-sum
-        # order (the first term plus np.sum of the others), so that
-        # potentials keep their bits; the product adds left to right,
-        # which agrees up to two terms, and rows with three or more
-        # terms in K are summed by scipy
-        hits = np.concatenate(([0], np.cumsum(in_k[w_f.indices])))[w_f.indptr]
-        redo = np.flatnonzero(np.diff(hits) >= 3)
-        if len(redo):
-            rhs[redo] = np.asarray(w_f[redo][:, in_k].sum(axis=1)).ravel()
-        if len(free) <= DIRECT_SOLVE_LIMIT:
-            # a_ff is a principal submatrix of the symmetric diag - W: its
-            # CSR arrays are its CSC arrays
-            sol = spsolve(sp.csc_matrix((a_ff.data, a_ff.indices, a_ff.indptr), a_ff.shape), rhs)
-        else:
-            sol, info = cg(a_ff, rhs, rtol=1e-10, maxiter=10 * len(free))
-            if info != 0:
-                raise StructuralError(f"iterative equilibrium solve failed (info={info})")
-        residual = np.abs(a_ff @ sol - rhs).max()
-        scale = max(np.abs(rhs).max(), np.abs(sol).max(), 1.0) * max(diag.max(), 1.0)
+        gu, gv, gw = g.edge_u, g.edge_v, g.edge_w
+        ku, kv = in_k[gu], in_k[gv]
+        cut = ku != kv
+        to_k = np.bincount(np.where(ku, gv, gu)[cut], gw[cut], n)
+        label = np.empty(n, dtype=np.intp)
+        label[free] = np.arange(len(free))
+        inside = ~(ku | kv)
+        rhs = to_k[free]
+        sol = _leaf_elimination_solve(
+            g.measure[free] + g.killing[free] + rhs,
+            rhs,
+            label[gu[inside]],
+            label[gv[inside]],
+            gw[inside],
+        )
+        diag = g.measure + g.killing + g.adjacency @ e  # e is all ones here
+        e[free] = sol
+        residual = np.abs((diag * e - g.adjacency @ e)[free]).max()
+        scale = max(rhs.max(), np.abs(sol).max(), 1.0) * max(diag.max(), 1.0)
         if not np.all(np.isfinite(sol)) or residual > 1e-8 * scale:
             raise StructuralError("equilibrium solve did not converge")
         if sol.min() < -1e-8 or sol.max() > 1 + 1e-8:
@@ -231,6 +246,74 @@ def equilibrium_potential(
             )
         e[free] = np.clip(sol, 0.0, 1.0)
     return e, form_norm_sq(g, e)
+
+
+def _leaf_elimination_solve(
+    s: np.ndarray, b: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Solve ``(diag(s) + D - W) x = b``, D and W the degrees and weights
+    of the edges ``(u, v, w)``, leaves first (see
+    :func:`equilibrium_potential`)."""
+    sol = np.empty(len(s))
+    ids = np.arange(len(s))
+    rounds = []
+    while len(ids):
+        k = len(ids)
+        deg = np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
+        if 8 * np.count_nonzero(deg <= 1) < k:
+            break
+        lone = np.flatnonzero(deg == 0)
+        at_v = deg[v] == 1  # one end per edge: of two joined leaves, v goes
+        leaf = at_v | (deg[u] == 1)
+        sol[ids[lone]] = b[lone] / s[lone]
+        x, y, wx = np.where(at_v, v, u)[leaf], np.where(at_v, u, v)[leaf], w[leaf]
+        sx, bx = s[x], b[x]
+        t = wx / (wx + sx)
+        s = s + np.bincount(y, t * sx, k)
+        b = b + np.bincount(y, t * bx, k)
+        rounds.append((ids[x], ids[y], wx, sx, bx))
+        keep = np.ones(k, dtype=bool)
+        keep[x] = keep[lone] = False
+        kept = np.flatnonzero(keep)
+        new = np.empty(k, dtype=np.intp)
+        new[kept] = np.arange(len(kept))
+        rest = ~leaf
+        u, v, w = new[u[rest]], new[v[rest]], w[rest]
+        ids, s, b = ids[kept], s[kept], b[kept]
+    k = len(ids)
+    if k:
+        # the core is symmetric: its line y (column and row alike) holds
+        # x < y from the edges (x, y), then y, then x > y from the edges
+        # (y, x), in edge order, so sorted as the edges are; these are its
+        # CSC arrays, which SuperLU reads, and its CSR arrays, whose
+        # products cg reads faster
+        at, nnz = np.arange(k), k + 2 * len(w)
+        idx = np.int32 if nnz <= np.iinfo(np.int32).max else np.int64
+        indptr, indices, data = np.empty(k + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+        diag = s + np.bincount(u, w, k) + np.bincount(v, w, k)
+        _coo_tocsr(
+            k, k, nnz,
+            np.concatenate((v, at, u), dtype=idx),
+            np.concatenate((u, at, v), dtype=idx),
+            np.concatenate((-w, diag, -w)),
+            indptr, indices, data,
+        )
+        core = (data, indices, indptr)
+        if k <= DIRECT_SOLVE_LIMIT:
+            # the pivots round s_y + sum w, losing the digits of a small s_y;
+            # one refinement step on the residual b - s x - sum w (x_y - x_z),
+            # which keeps s apart, restores them
+            lu = splu(sp.csc_matrix(core, shape=(k, k)))
+            x = lu.solve(b)
+            d = w * (x[u] - x[v])
+            sol[ids] = x + lu.solve(b - s * x - np.bincount(u, d, k) + np.bincount(v, d, k))
+        else:
+            sol[ids], info = cg(sp.csr_matrix(core, shape=(k, k)), b, rtol=1e-10, maxiter=10 * k)
+            if info != 0:
+                raise StructuralError(f"iterative equilibrium solve failed (info={info})")
+    for x, y, wx, sx, bx in reversed(rounds):
+        sol[x] = (bx + wx * sol[y]) / (sx + wx)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +453,9 @@ def profile_boundary_capacity(p, depths: Sequence[int]) -> CapacityEstimate:
         a_r = (m+c)(S_r) + dB(r-1) s_{r-1}
 
     (dB(r-1) s_{r-1} is edge and inner ball in series).  Every term is
-    positive, so the loop does not cancel.  A depth at or past the first
+    positive, so the loop does not cancel; where the sum a_r + dB(r)
+    alone leaves the float range, s_r is 1 / (1 + dB(r) / a_r), so the
+    edge term is not lost.  A depth at or past the first
     radius where dB or (m+c) leaves the float range is not evaluated
     (dB = inf would make the next a_r inf * 0), nor is one whose value
     leaves it.  The class is exact: zero on an empty boundary, infinite
@@ -379,6 +464,13 @@ def profile_boundary_capacity(p, depths: Sequence[int]) -> CapacityEstimate:
     when not; undecided when a verdict is, a depth is not evaluated, or a
     convergent mass leaves the float range.
     """
+    return _profile_capacity(p, depths, None)
+
+
+def _profile_capacity(p, depths: Sequence[int], verdicts) -> CapacityEstimate:
+    """:func:`profile_boundary_capacity` with ``verdicts``, the profile's
+    total-mass and resistance verdicts when the caller has them (None
+    evaluates them here, if the boundary is not empty)."""
     _check_depths(depths)
     reach = radial_boundary_reach(p)
     if reach.finite is None:
@@ -390,7 +482,9 @@ def profile_boundary_capacity(p, depths: Sequence[int]) -> CapacityEstimate:
         )
         why = "total radial sigma-length is infinite, so the Cauchy boundary is empty"
         return CapacityEstimate(p.name, rows, 0.0, "zero", (why,))
-    mass, resistance = _evaluate(p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)).values()
+    mass, resistance = verdicts or _evaluate(
+        p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)
+    ).values()
     top = max(depths) + 1
     b = p.values("boundary", top + 1)
     mc = p.values("measure", top + 1) + p.values("killing", top + 1)
@@ -399,7 +493,12 @@ def profile_boundary_capacity(p, depths: Sequence[int]) -> CapacityEstimate:
     b, mc = b.tolist(), mc.tolist()
     a = [mc[0]]
     for r in range(1, stop + 1):
-        a.append(mc[r] + b[r - 1] * (a[r - 1] / (a[r - 1] + b[r - 1])))
+        prev, edge = a[r - 1], b[r - 1]
+        if prev + edge < math.inf or prev == math.inf:
+            s = prev / (prev + edge)
+        else:  # both terms fit, their sum does not: s would read 0
+            s = 1 / (1 + edge / prev)
+        a.append(mc[r] + edge * s)
 
     rows: list[CapacityRow] = []
     evidence: list[str] = []

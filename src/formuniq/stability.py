@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError, StructuralError
-from .capacity import CapacityEstimate, _check_depths, profile_boundary_capacity
+from .capacity import CapacityEstimate, _check_depths, _profile_capacity
 from .families import Family, Truncation
 from .graph import WeightedGraph, vertex_mask
 from .harmonic import truncated_dirichlet_solve
@@ -329,7 +329,7 @@ def symmetric_ends_verdict(
     for p in family.end_profiles:
         tm, res = _evaluate(p, (SeriesKind.TOTAL_MASS, SeriesKind.RESISTANCE)).values()
         fails = state_and(tm.state, res.state).truth
-        cap = profile_boundary_capacity(p, capacity_depths) if capacity_depths else None
+        cap = _profile_capacity(p, capacity_depths, (tm, res)) if capacity_depths else None
         ends.append(EndReport(p.name, tm, res, fails, cap))
 
     hypotheses_met = x1_ok is True and boundary.bounded is True

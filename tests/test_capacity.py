@@ -570,3 +570,19 @@ def test_a_capacity_past_the_float_range_is_not_evaluated():
     assert est.evidence == (
         "the capacity at radius 2 leaves the float range: depth 1 and deeper are not evaluated",
     )
+
+
+def test_a_ball_and_edge_sum_past_the_float_range_keeps_the_edge_term():
+    # a_0 + dB(0) = 1.7e308 + 1e308 leaves the float range while both fit:
+    # s_0 = a_0 / (a_0 + dB(0)) read 0, so a_1 lost its edge term and the
+    # rows printed 1.776e308 and 1.464e308; in 50 digits a_1 = 2.31e308
+    fam = birth_death(PowerGeomTail(1e308, 0, 1), PowerGeomTail(1.7e308, 0, 0.99))
+    with mpmath.workdps(50):
+        b, mc = mp_chain(fam.profile, 1)
+        assert mc[1] + b[0] * mc[0] / (mc[0] + b[0]) > mpmath.mpf("2.3e308")
+    est = boundary_capacity_estimate(fam, (460, 480))
+    assert (est.rows, est.extrapolated, est.classification) == ((), None, "undecided")
+    assert est.evidence == (
+        "the capacity at radius 461 leaves the float range: depth 460 and deeper are not evaluated",
+    )
+

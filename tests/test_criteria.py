@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from formuniq import criteria, harmonic, series, stability
+from formuniq import capacity, criteria, harmonic, series, stability
 from formuniq.criteria import (
     _cross_checks,
     dirichlet_feller_verdict,
@@ -243,6 +243,10 @@ def _readings():
             lambda: stability.symmetric_ends_verdict(ends),
             [{K.TOTAL_MASS, K.RESISTANCE}] * len(ends.end_profiles),
         ),
+        "symmetric_ends_capacity": (
+            lambda: stability.symmetric_ends_verdict(ends, capacity_depths=(8, 16, 32)),
+            [{K.TOTAL_MASS, K.RESISTANCE}] * len(ends.end_profiles),
+        ),
         "membership": (
             lambda: harmonic.membership_report(chain, sol),
             [{K.BOUNDED_HARMONIC, K.ENERGY_WEIGHT}],
@@ -251,7 +255,8 @@ def _readings():
 
 
 @pytest.mark.parametrize(
-    "reading", ["form_uniqueness", "dirichlet_feller", "symmetric_ends", "membership"]
+    "reading",
+    ["form_uniqueness", "dirichlet_feller", "symmetric_ends", "symmetric_ends_capacity", "membership"],
 )
 def test_verdict_readings_evaluate_their_series_in_one_pass(monkeypatch, reading):
     call, expected = _readings()[reading]
@@ -263,7 +268,7 @@ def test_verdict_readings_evaluate_their_series_in_one_pass(monkeypatch, reading
         return evaluate(p, kinds)
 
     # every binding a reading could reach the evaluator through
-    for module in (series, criteria, stability, harmonic):
+    for module in (series, criteria, stability, harmonic, capacity):
         monkeypatch.setattr(module, "_evaluate", counting, raising=False)
     call()
     # one pass per profile, asking for each kind it reads once

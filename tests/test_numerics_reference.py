@@ -2,16 +2,18 @@
 
 The references below are the earlier implementations, kept verbatim in
 behaviour: the ``sorted({int(v) ...})`` / ``setdiff1d`` normalisation of
-vertex sets at each call site, the equilibrium solve that sliced the
-adjacency twice, the per-vertex COO loop of the free-boundary system,
-the ``tolil()`` zeroing of the cutoff metric, each builder's vertex id
-arithmetic for the rails of its truncations, and the per-radius profile
-lookups of the radial degrees, the quotient chain and the harmonic
-recurrence.  The array
-versions must give the same arrays bit for bit, and the same exception
-type and message.
+vertex sets at each call site, the per-vertex COO loop of the
+free-boundary system, the ``tolil()`` zeroing of the cutoff metric, each
+builder's vertex id arithmetic for the rails of its truncations, and the
+per-radius profile lookups of the radial degrees, the quotient chain and
+the harmonic recurrence.  The array versions must give the same arrays
+bit for bit, and the same exception type and message.  Equilibrium
+potentials, solved by leaf elimination, are held instead to 50-digit
+solves, which the earlier SuperLU solve of the twice-sliced system, kept
+as ``reference_equilibrium``, meets to the same bound.
 """
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import cg, spsolve
 
+from formuniq import capacity
 from formuniq.capacity import (
     DIRECT_SOLVE_LIMIT,
     cutoff_function,
@@ -362,42 +365,170 @@ def test_vertex_mask_forms():
 # ---------------------------------------------------------------------------
 
 
+def mp_equilibrium(g, k):
+    """The potential and capacity of K in 50-digit mpmath: the free system
+    ``(M + C + D - B) u = B 1_K`` by Gaussian elimination of a vertex of
+    least degree at each step."""
+    in_k = set(reference_ids(k))
+    with mpmath.workdps(50):
+        row = {x: {x: mpmath.mpf(g.measure[x]) + mpmath.mpf(g.killing[x])}
+               for x in range(g.vertex_count) if x not in in_k}
+        rhs = dict.fromkeys(row, mpmath.mpf(0))
+        for x, y, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
+            for a, c in ((x, y), (y, x)):
+                if a in row:
+                    row[a][a] += w
+                    if c in row:
+                        row[a][c] = -mpmath.mpf(w)
+                    else:
+                        rhs[a] += w
+        order, live = [], set(row)
+        while live:
+            p = min(live, key=lambda x: (len(row[x]), x))
+            live.remove(p)
+            order.append(p)
+            for q in [q for q in row[p] if q != p]:
+                f = row[q].pop(p) / row[p][p]
+                for c, val in row[p].items():
+                    if c != p:
+                        row[q][c] = row[q].get(c, 0) - f * val
+                rhs[q] -= f * rhs[p]
+        u = [mpmath.mpf(1)] * g.vertex_count
+        for p in reversed(order):
+            off = sum(val * u[c] for c, val in row[p].items() if c != p)
+            u[p] = (rhs[p] - off) / row[p][p]
+        cap = sum(mpmath.mpf(m) * x**2 for m, x in zip(g.measure.tolist(), u))
+        cap += sum(mpmath.mpf(c) * x**2 for c, x in zip(g.killing.tolist(), u))
+        for x, y, w in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w.tolist()):
+            cap += w * (u[x] - u[y]) ** 2
+        return u, cap
+
+
+def assert_near_mp(e, cap, want_u, want_cap, rtol=1e-12):
+    """Every entry and the capacity within ``rtol`` of the 50-digit values."""
+    for x, (got, want) in enumerate(zip(e.tolist(), want_u)):
+        assert abs(got - want) <= rtol * abs(want), (x, got, float(want))
+    assert abs(cap - want_cap) <= rtol * want_cap, (cap, float(want_cap))
+
+
+@st.composite
+def eliminable_graphs(draw):
+    """Forests, cores (a cycle with chords) with trees hanging off them,
+    components of two leaves joined to each other and components K may
+    not touch; weights and measures log-uniform in [1e-3, 1e3]."""
+    n = draw(st.integers(1, 30))
+    value = st.floats(-3.0, 3.0).map(lambda t: 10.0**t)
+    core = draw(st.sampled_from([0, 0, 3, 5, 8]))
+    core = core if core <= n else 0
+    edges = {(min(v, (v + 1) % core), max(v, (v + 1) % core)): draw(value) for v in range(core)}
+    for x, y in draw(st.lists(st.tuples(st.integers(0, core), st.integers(0, core)), max_size=core)):
+        if x != y and max(x, y) < core:
+            edges.setdefault((min(x, y), max(x, y)), draw(value))
+    for v in range(max(core, 1), n):
+        parent = draw(st.none() | st.integers(max(0, v - 6), v - 1) | st.integers(0, v - 1))
+        if parent is not None:
+            edges[(parent, v)] = draw(value)
+    measure = draw(st.lists(value, min_size=n, max_size=n))
+    killing = draw(st.lists(st.just(0.0) | value, min_size=n, max_size=n))
+    return WeightedGraph(n, [(x, y, w) for (x, y), w in edges.items()], measure, killing)
+
+
 @settings(max_examples=300, deadline=None)
 @given(connected_graphs(), st.data())
-def test_equilibrium_matches_the_twice_sliced_solve(g, data):
+def test_equilibrium_matches_the_50_digit_solve(g, data):
+    # the twice-sliced SuperLU solve, kept as the reference, meets the same bound
     n = g.vertex_count
-    k = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    k = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
     if data.draw(st.booleans()):
         k = np.array(k, dtype=np.int64)
-    e, cap = equilibrium_potential(g, k)
-    want_e, want_cap = reference_equilibrium(g, k)
-    assert_bits(e, want_e)
-    assert cap == want_cap
+    want_u, want_cap = mp_equilibrium(g, k)
+    assert_near_mp(*equilibrium_potential(g, k), want_u, want_cap)
+    assert_near_mp(*reference_equilibrium(g, k), want_u, want_cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminable_graphs(), st.data())
+def test_equilibrium_on_forests_and_hanging_trees_matches_the_50_digit_solve(g, data):
+    n = g.vertex_count
+    k = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    assert_near_mp(*equilibrium_potential(g, k), *mp_equilibrium(g, k))
+
+
+@pytest.mark.parametrize("heavy, light", [(1e3, 1e-3), (1e3, 1e-1), (10.0, 1e-3)])
+def test_equilibrium_light_vertices_on_heavy_edges_keep_their_digits(heavy, light):
+    # a star: the leaf x hands its hub w s_x / (w + s_x), about s_x; written
+    # as w - w^2 / (w + s_x) it would lose the digits of w / s_x.  A ring: no
+    # leaves, so the core goes to SuperLU, whose pivots round s + 2w, and
+    # the refinement step restores s (at 21b0343 these rings were off by up
+    # to 1e-10).  Either way u leans on s: each vertex reaches K through one
+    # light edge, so s_y is m + b(y, K) + the terms above, all about ``light``
+    for size in (1, 2, 3, 5, 8, 40):
+        n = size + 2
+        star = [(1, v, heavy) for v in range(2, n)]
+        ring = [(v, v + 1, heavy) for v in range(1, n - 1)] + [(1, n - 1, heavy)] * (size > 1)
+        for edges in (star, ring):
+            g = WeightedGraph(n, edges + [(0, 1, light)], np.full(n, light))
+            assert_near_mp(*equilibrium_potential(g, [0]), *mp_equilibrium(g, [0]))
 
 
 def test_equilibrium_rows_with_many_terms_in_k():
-    # the hub has 3, 7, 8 and 40 fractional neighbours in K: scipy sums
-    # those rows as the first term plus np.sum of the rest
+    # the hub has 3, 7, 8 and 40 fractional neighbours in K
     rng = np.random.default_rng(11)
     for spokes in (3, 7, 8, 40):
         n = spokes + 2
         edges = [(0, v, float(w)) for v, w in zip(range(1, n), rng.uniform(0.1, 3.0, n - 1))]
         g = WeightedGraph(n, edges, rng.uniform(0.1, 3.0, n), rng.uniform(0.0, 1.0, n))
         k = np.arange(1, n - 1)
-        e, cap = equilibrium_potential(g, k)
-        want_e, want_cap = reference_equilibrium(g, k)
-        assert_bits(e, want_e)
-        assert cap == want_cap
+        assert_near_mp(*equilibrium_potential(g, k), *mp_equilibrium(g, k))
 
 
-def test_equilibrium_on_the_depth_16_tree_with_the_leaves_as_k():
-    # 65535 unknowns: the cg path
+def test_equilibrium_on_the_depth_16_tree_with_the_leaves_as_k(monkeypatch):
+    # 65,535 unknowns, every one eliminated as a leaf: no sparse solve.  The
+    # potential is radial: with a_r the capacity of sphere r within the ball
+    # of radius r (a_0 = 1, a_r = 2^r + 2^r a_{r-1} / (a_{r-1} + 2^r)),
+    # u(16) = 1 and u(r-1) = u(r) 2^r / (2^r + a_{r-1}); the capacity is a_16
+    for name in ("splu", "cg"):
+        monkeypatch.setattr(capacity, name, lambda *a, **kw: pytest.fail("core solve"))
     t = wss_tree(2).build(16)
-    k = np.flatnonzero(t.layer == 16)
-    e, cap = equilibrium_potential(t.graph, k)
-    want_e, want_cap = reference_equilibrium(t.graph, k.tolist())
-    assert_bits(e, want_e)
-    assert cap == want_cap
+    e, cap = equilibrium_potential(t.graph, np.flatnonzero(t.layer == 16))
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(1)]
+        for r in range(1, 17):
+            a.append(2**r + 2**r * a[-1] / (a[-1] + 2**r))
+        u = [mpmath.mpf(1)]
+        for r in range(16, 0, -1):
+            u.insert(0, u[0] * 2**r / (2**r + a[r - 1]))
+    assert_near_mp(e, cap, [u[r] for r in t.layer.tolist()], a[16], rtol=1e-13)
+
+
+def test_equilibrium_on_a_grid_through_cg(monkeypatch):
+    # the 230 x 230 unit grid with K = column 0: 52,670 unknowns, none a
+    # leaf, so all of them are the core, past DIRECT_SOLVE_LIMIT.  The
+    # potential depends on the column only: 3 u_j = u_{j-1} + u_{j+1},
+    # 2 u_last = u_{last-1}, u_0 = 1
+    side = 230
+    ids = np.arange(side * side).reshape(side, side)  # ids[row, column]
+    pairs = np.concatenate([
+        np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+        np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
+    ])
+    edges = np.column_stack([pairs, np.ones(len(pairs))])
+    g = WeightedGraph(side * side, edges, np.ones(side * side))
+    assert side * (side - 1) > DIRECT_SOLVE_LIMIT
+    calls, real_cg = [], capacity.cg
+    monkeypatch.setattr(capacity, "cg", lambda *a, **kw: calls.append(1) or real_cg(*a, **kw))
+    e, _ = equilibrium_potential(g, ids[:, 0])
+    assert calls == [1]
+    with mpmath.workdps(50):
+        # u_j = q_j u_{j-1}, from the last column in: q_last = 1/2, q_j = 1 / (3 - q_{j+1})
+        q = [mpmath.mpf(1) / 2]
+        for _ in range(side - 2):
+            q.insert(0, 1 / (3 - q[0]))
+        col = [mpmath.mpf(1)]
+        for qj in q:
+            col.append(col[-1] * qj)
+        col = [float(x) for x in col]
+    np.testing.assert_allclose(e.reshape(side, side), np.broadcast_to(col, (side, side)), rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
